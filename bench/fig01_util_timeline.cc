@@ -6,8 +6,10 @@
 // lines in the figure) stay low. We print a bucketed timeline plus the
 // averages.
 #include <iostream>
+#include <utility>
 
 #include "bench/bench_util.h"
+#include "src/common/check.h"
 #include "src/profiler/profiler.h"
 #include "src/runtime/gpu_runtime.h"
 #include "src/sim/simulator.h"
@@ -29,26 +31,37 @@ int main(int argc, char** argv) {
   const auto profile = profiler::ProfileWorkload(device, spec, opts);
 
   // Re-run a single iteration with a fresh device to get a clean timeline.
-  Simulator sim;
-  runtime::GpuRuntime rt(&sim, device);
-  const auto stream = rt.CreateStream();
+  // The utilization windows must be declared before the run, and the bucket
+  // grid depends on the iteration's end, so the (deterministic) iteration
+  // runs once to find its end and once more with the windows declared.
   const auto ops = workloads::BuildRequestOps(device, spec);
-  // Submit with host pacing like the real framework would.
-  std::size_t next = 0;
-  std::function<void()> submit = [&]() {
-    if (next >= ops.size()) {
-      return;
-    }
-    rt.Submit(ops[next], stream, nullptr);
-    ++next;
-    sim.ScheduleAfter(opts.launch_overhead_us, submit);
-  };
-  submit();
-  sim.RunUntilIdle();
-
-  const TimeUs end = sim.now();
   constexpr int kBuckets = 50;
-  const auto timeline = rt.device().utilization().Timeline(0.0, end, kBuckets);
+  const auto run_iteration = [&](TimeUs declare_end) {
+    Simulator sim;
+    runtime::GpuRuntime rt(&sim, device);
+    const auto stream = rt.CreateStream();
+    if (declare_end > 0.0) {
+      rt.device().utilization().DeclareTimeline(0.0, declare_end, kBuckets);
+      rt.device().utilization().DeclareWindow(0.0, declare_end);
+    }
+    // Submit with host pacing like the real framework would.
+    std::size_t next = 0;
+    std::function<void()> submit = [&]() {
+      if (next >= ops.size()) {
+        return;
+      }
+      rt.Submit(ops[next], stream, nullptr);
+      ++next;
+      sim.ScheduleAfter(opts.launch_overhead_us, submit);
+    };
+    submit();
+    sim.RunUntilIdle();
+    return std::make_pair(sim.now(), rt.device().utilization());
+  };
+  const TimeUs end = run_iteration(0.0).first;
+  const auto [rerun_end, utilization] = run_iteration(end);
+  ORION_CHECK(rerun_end == end);
+  const auto timeline = utilization.Timeline(0.0, end, kBuckets);
 
   Table table({"t_ms", "compute_%", "membw_%", "sm_busy_%"});
   for (const auto& sample : timeline) {
@@ -57,7 +70,7 @@ int main(int argc, char** argv) {
   }
   table.Print(std::cout);
 
-  const auto avg = rt.device().utilization().AverageOver(0.0, end);
+  const auto avg = utilization.AverageOver(0.0, end);
   std::cout << "\niteration time: " << UsToMs(end) << " ms ("
             << profile.kernels.size() << " kernels)\n";
   std::cout << "averages (paper: compute <40%, membw <55%): compute "

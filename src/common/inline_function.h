@@ -12,8 +12,9 @@
 // std::function rejects outright.
 //
 // Semantics match the std::function subset the simulator needs: construct
-// from any callable, move, test against nullptr, invoke. Invoking an empty
-// InlineFunction is checked (ORION_CHECK), not UB.
+// from any callable, move, test against nullptr, invoke. Wrapping an empty
+// std::function or a null function pointer gives an empty InlineFunction.
+// Invoking an empty InlineFunction is checked (ORION_CHECK), not UB.
 #ifndef SRC_COMMON_INLINE_FUNCTION_H_
 #define SRC_COMMON_INLINE_FUNCTION_H_
 
@@ -43,6 +44,9 @@ class InlineFunction<R(Args...), InlineBytes> {
                                         !std::is_same_v<D, std::nullptr_t> &&
                                         std::is_invocable_r_v<R, D&, Args...>>>
   InlineFunction(F&& f) {  // NOLINT(google-explicit-constructor)
+    if (IsNull(f)) {
+      return;
+    }
     if constexpr (FitsInline<D>()) {
       ::new (static_cast<void*>(&storage_)) D(std::forward<F>(f));
       ops_ = &InlineModel<D>::kOps;
@@ -78,6 +82,9 @@ class InlineFunction<R(Args...), InlineBytes> {
                                         std::is_invocable_r_v<R, D&, Args...>>>
   InlineFunction& operator=(F&& f) {
     Reset();
+    if (IsNull(f)) {
+      return *this;
+    }
     if constexpr (FitsInline<D>()) {
       ::new (static_cast<void*>(&storage_)) D(std::forward<F>(f));
       ops_ = &InlineModel<D>::kOps;
@@ -117,6 +124,18 @@ class InlineFunction<R(Args...), InlineBytes> {
     // no indirect calls on the simulator's move-heavy hot path.
     bool trivial;
   };
+
+  // Like std::function, wrapping an empty callable (an empty std::function,
+  // a null function pointer) yields an empty InlineFunction, so `if (cb)`
+  // keeps meaning "there is something to call".
+  template <typename D>
+  static bool IsNull(const D& f) {
+    if constexpr (requires { f == nullptr; }) {
+      return f == nullptr;
+    } else {
+      return false;
+    }
+  }
 
   template <typename D>
   static constexpr bool FitsInline() {

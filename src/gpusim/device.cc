@@ -54,14 +54,17 @@ void Device::DegradeSms(int sms_lost) {
 }
 
 void Device::ScaleMembw(double factor) {
-  ORION_CHECK(factor > 0.0);
+  ORION_CHECK_MSG(std::isfinite(factor) && factor > 0.0,
+                  "memory bandwidth scale factor must be finite and positive: " << factor);
   AdvanceTo(sim_->now());
   membw_factor_ *= factor;
+  InvalidateAggregates();
   Reschedule();
 }
 
 StreamId Device::CreateStream(int priority) {
-  streams_.push_back(Stream{priority, {}, false});
+  streams_.emplace_back();
+  streams_.back().priority = priority;
   return static_cast<StreamId>(streams_.size() - 1);
 }
 
@@ -70,12 +73,18 @@ int Device::stream_priority(StreamId stream) const {
   return streams_[static_cast<std::size_t>(stream)].priority;
 }
 
-void Device::LaunchKernel(StreamId stream, const KernelDesc& kernel, CompletionCb done) {
+void Device::LaunchKernel(StreamId stream, KernelDesc kernel, CompletionCb done) {
   ORION_CHECK(stream >= 0 && stream < static_cast<int>(streams_.size()));
   ORION_CHECK_MSG(kernel.duration_us >= 0.0, "kernel with negative duration: " << kernel.name);
+  // The SM-demand model rounds a function of these to an int; a NaN or
+  // infinity there is undefined behaviour, and a negative share is nonsense.
+  ORION_CHECK_MSG(std::isfinite(kernel.compute_util) && kernel.compute_util >= 0.0,
+                  "kernel " << kernel.name << " has invalid compute_util " << kernel.compute_util);
+  ORION_CHECK_MSG(std::isfinite(kernel.membw_util) && kernel.membw_util >= 0.0,
+                  "kernel " << kernel.name << " has invalid membw_util " << kernel.membw_util);
   Op op;
   op.type = Op::Type::kKernel;
-  op.kernel = kernel;
+  op.kernel = std::move(kernel);
   op.done = std::move(done);
   op.seq = next_seq_++;
   streams_[static_cast<std::size_t>(stream)].queue.push_back(std::move(op));
@@ -144,12 +153,28 @@ void Device::SynchronizeDevice(CompletionCb done) {
   CheckDeviceSync();
 }
 
-double Device::GrantedTotal() const {
+double Device::SumGrants() const {
   double total = 0.0;
   for (const RunningKernel& rk : running_) {
     total += rk.granted;
   }
   return total;
+}
+
+void Device::RefreshAggregates() {
+  if (aggregates_valid_) {
+    if (debug_oracle_) {
+      ++debug_oracle_checks_;
+      std::vector<std::pair<RunningKernel*, double>> fresh;
+      ComputeRates(&fresh);
+      ORION_CHECK_MSG(SumGrants() == granted_total_ && fresh == rates_scratch_,
+                      "cached resident-set aggregates differ from a fresh computation");
+    }
+    return;
+  }
+  granted_total_ = SumGrants();
+  ComputeRates(&rates_scratch_);
+  aggregates_valid_ = true;
 }
 
 int Device::FreeSms() const {
@@ -206,15 +231,24 @@ void Device::ActivateStreamHead(StreamId stream_id) {
         continue;  // next op may also be startable
       }
       case Op::Type::kKernel: {
-        RunningKernel rk;
+        // Reuse a retired kernel's list node when there is one: the resident
+        // set churns once per kernel and the node allocation would dominate.
+        if (spare_kernels_.empty()) {
+          running_.emplace_back();
+        } else {
+          running_.splice(running_.end(), spare_kernels_, spare_kernels_.begin());
+        }
+        RunningKernel& rk = running_.back();
         rk.stream = stream_id;
-        rk.desc = front.kernel;
-        rk.remaining = front.kernel.duration_us;
+        rk.priority = stream.priority;
+        rk.weight = std::pow(4.0, stream.priority);
+        rk.desc = std::move(front.kernel);
+        rk.remaining = rk.desc.duration_us;
         // duration_us is the run-alone wall time and already includes wave
         // execution of grids larger than the device, so the progress model
         // caps the SM demand at device size: a kernel granted every SM it
         // can use runs at full rate.
-        const int raw_sm_needed = SmsNeeded(spec_, front.kernel.geometry);
+        const int raw_sm_needed = SmsNeeded(spec_, rk.desc.geometry);
         // Effective SM demand models occupancy pressure, not grid size: a
         // compute-bound kernel's blocks hold most of each SM's register file
         // and issue slots (~75-90%), while a memory-bound kernel only needs
@@ -222,33 +256,34 @@ void Device::ActivateStreamHead(StreamId stream_id) {
         // co-reside with another kernel's at negligible cost. This is the
         // physical headroom behind the paper's Table 2 result (Conv2d+BN2d
         // overlap at 1.41x) and Orion's opposite-profile collocation rule.
-        const double c = front.kernel.compute_util;
-        const double m = front.kernel.membw_util;
+        const double c = rk.desc.compute_util;
+        const double m = rk.desc.membw_util;
         const double intensity = c / (c + m + 1e-9);
         const double demand_frac = 0.25 + 0.65 * intensity;
         const int capped = std::min(raw_sm_needed, effective_sms_);
         rk.sm_needed = std::max(1, static_cast<int>(capped * demand_frac + 0.5));
         rk.granted = 0;
+        rk.target = 0.0;
+        rk.capped = false;
         // Wave count: grids larger than the device execute in multiple
         // waves, so their blocks are proportionally shorter than the kernel.
         const double waves =
             std::max(1.0, static_cast<double>(raw_sm_needed) / effective_sms_);
-        rk.block_duration = std::max(1.0, front.kernel.duration_us / waves);
+        rk.block_duration = std::max(1.0, rk.desc.duration_us / waves);
         rk.started_at = sim_->now();
         rk.seq = front.seq;
-        rk.done = std::move(front.done);
+        stream.head_done = std::move(front.done);
         stream.queue.pop_front();
         stream.head_active = true;
-        running_.push_back(std::move(rk));
         return;  // SM grant happens in Reschedule()
       }
       case Op::Type::kExternal: {
         ExternalBody body = std::move(front.external);
-        CompletionCb done = std::move(front.done);
+        stream.head_done = std::move(front.done);
         stream.queue.pop_front();
         stream.head_active = true;
-        body([this, stream_id, done = std::move(done)]() mutable {
-          FinishOp(stream_id, std::move(done));
+        body([this, stream_id] {
+          FinishOp(stream_id);
           Reschedule();
         });
         return;
@@ -260,7 +295,7 @@ void Device::ActivateStreamHead(StreamId stream_id) {
         copy.priority = stream.priority;
         copy.kind = front.memcpy_kind;
         copy.seq = front.seq;
-        copy.done = std::move(front.done);
+        stream.head_done = std::move(front.done);
         stream.queue.pop_front();
         stream.head_active = true;
         copy_queue_.push_back(std::move(copy));
@@ -271,11 +306,11 @@ void Device::ActivateStreamHead(StreamId stream_id) {
         const DurationUs duration =
             kMemsetOverheadUs + static_cast<double>(front.bytes) /
                                     (spec_.peak_membw_gbps * membw_factor_ * 1e3);
-        CompletionCb done = std::move(front.done);
+        stream.head_done = std::move(front.done);
         stream.queue.pop_front();
         stream.head_active = true;
-        sim_->ScheduleAfter(duration, [this, stream_id, done = std::move(done)]() mutable {
-          FinishOp(stream_id, std::move(done));
+        sim_->ScheduleAfter(duration, [this, stream_id] {
+          FinishOp(stream_id);
           Reschedule();
         });
         return;
@@ -284,11 +319,11 @@ void Device::ActivateStreamHead(StreamId stream_id) {
   }
 }
 
-void Device::FinishOp(StreamId stream_id, CompletionCb done) {
+void Device::FinishOp(StreamId stream_id) {
   Stream& stream = streams_[static_cast<std::size_t>(stream_id)];
   ORION_CHECK(stream.head_active);
   stream.head_active = false;
-  DeliverCallback(std::move(done));
+  DeliverCallback(std::move(stream.head_done));
   ActivateStreamHead(stream_id);
   CheckDeviceSync();
 }
@@ -308,8 +343,9 @@ void Device::StartNextCopy() {
       }
     }
   }
-  PendingCopy copy = std::move(*next);
+  active_copy_ = std::move(*next);
   copy_queue_.erase(next);
+  PendingCopy& copy = active_copy_;
 
   // Chunked transfer (priority mode): large copies release the engine every
   // kCopyChunkBytes so higher-priority copies wait one chunk at most.
@@ -322,14 +358,15 @@ void Device::StartNextCopy() {
   copy.bytes -= chunk;
   copy.started = true;
 
-  auto on_chunk_done = [this, copy = std::move(copy)]() mutable {
+  auto on_chunk_done = [this] {
     copy_active_ = false;
-    if (copy.bytes > 0) {
+    if (active_copy_.bytes > 0) {
       // Re-queue the remainder; a higher-priority copy may now cut in.
-      copy_queue_.push_back(std::move(copy));
+      copy_queue_.push_back(active_copy_);
     } else {
       ++memcpys_completed_;
-      FinishOp(copy.stream, std::move(copy.done));
+      // FinishOp may start the stream's next copy, reusing active_copy_.
+      FinishOp(active_copy_.stream);
     }
     StartNextCopy();
     Reschedule();
@@ -339,11 +376,11 @@ void Device::StartNextCopy() {
     // Wire time (including link latency and any contention from other
     // traffic on the node) comes from the shared fabric; the engine still
     // serialises one chunk at a time.
-    host_link_->StartHostCopy(gpu_index_, chunk, to_device, std::move(on_chunk_done));
+    host_link_->StartHostCopy(gpu_index_, chunk, to_device, on_chunk_done);
     return;
   }
   const DurationUs duration = setup + static_cast<double>(chunk) / (spec_.pcie_gbps * 1e3);
-  copy_event_ = sim_->ScheduleAfter(duration, std::move(on_chunk_done));
+  copy_event_ = sim_->ScheduleAfter(duration, on_chunk_done);
 }
 
 void Device::ComputeRates(std::vector<std::pair<RunningKernel*, double>>* rates) {
@@ -377,27 +414,13 @@ void Device::ComputeRates(std::vector<std::pair<RunningKernel*, double>>* rates)
   }
 }
 
-double Device::CurrentSlowdown() const {
-  double compute = 0.0;
-  double membw = 0.0;
-  for (const RunningKernel& rk : running_) {
-    if (rk.sm_needed <= 0 || rk.granted <= kGrantEpsilon) {
-      continue;
-    }
-    const double share = std::min(1.0, rk.granted / rk.sm_needed);
-    compute += rk.desc.compute_util * share;
-    membw += rk.desc.membw_util * share / membw_factor_;
-  }
-  return std::max({1.0, compute, membw});
-}
-
 void Device::AdvanceTo(TimeUs now) {
   const DurationUs dt = now - last_update_;
   if (dt <= 0.0) {
     last_update_ = now;
     return;
   }
-  ComputeRates(&rates_scratch_);
+  RefreshAggregates();
   double delivered_compute = 0.0;
   double delivered_membw = 0.0;
   for (const auto& [rk, rate] : rates_scratch_) {
@@ -405,7 +428,7 @@ void Device::AdvanceTo(TimeUs now) {
     delivered_compute += rk->desc.compute_util * rate;
     delivered_membw += rk->desc.membw_util * rate;
   }
-  const double sm_busy = std::min(1.0, GrantedTotal() / effective_sms_);
+  const double sm_busy = std::min(1.0, granted_total_ / effective_sms_);
   utilization_.Record(last_update_, now, std::min(1.0, delivered_compute),
                       std::min(1.0, delivered_membw), sm_busy);
   last_update_ = now;
@@ -414,20 +437,24 @@ void Device::AdvanceTo(TimeUs now) {
 void Device::CompleteFinishedKernels() {
   for (auto it = running_.begin(); it != running_.end();) {
     if (it->remaining <= kRemainingEpsilon && it->granted > kGrantEpsilon) {
-      RunningKernel rk = std::move(*it);
-      it = running_.erase(it);
+      // The node moves to the spare list; FinishOp may reuse it for the
+      // stream's next kernel, so nothing reads `rk` after that call.
+      const auto done = it++;
+      RunningKernel& rk = *done;
+      spare_kernels_.splice(spare_kernels_.end(), running_, done);
+      InvalidateAggregates();
       ++kernels_completed_;
       if (trace_sink_) {
         KernelExecRecord record;
         record.kernel_id = rk.desc.kernel_id;
-        record.name = rk.desc.name;
+        record.name = std::move(rk.desc.name);
         record.stream = rk.stream;
         record.start = rk.started_at;
         record.end = sim_->now();
         record.sm_needed = rk.sm_needed;
         trace_sink_(record);
       }
-      FinishOp(rk.stream, std::move(rk.done));
+      FinishOp(rk.stream);
     } else {
       ++it;
     }
@@ -442,20 +469,17 @@ void Device::ComputeTargets() {
   // low-priority blocks still trickle in between memory stalls, so priority
   // biases rather than starves — which is why the paper still needs the
   // DUR_THRESHOLD throttle on top of priorities (§5.1.2).
-  std::vector<RunningKernel*> kernels;
-  kernels.reserve(running_.size());
   for (RunningKernel& rk : running_) {
     rk.target = 0.0;
-    kernels.push_back(&rk);
+    rk.capped = false;
   }
   double remaining = static_cast<double>(effective_sms_);
-  std::vector<bool> capped(kernels.size(), false);
-  for (std::size_t round = 0; round < kernels.size() && remaining > kGrantEpsilon; ++round) {
+  const std::size_t rounds = running_.size();
+  for (std::size_t round = 0; round < rounds && remaining > kGrantEpsilon; ++round) {
     double weighted_demand = 0.0;
-    for (std::size_t i = 0; i < kernels.size(); ++i) {
-      if (!capped[i]) {
-        const int priority = streams_[static_cast<std::size_t>(kernels[i]->stream)].priority;
-        weighted_demand += std::pow(4.0, priority) * kernels[i]->sm_needed;
+    for (const RunningKernel& rk : running_) {
+      if (!rk.capped) {
+        weighted_demand += rk.weight * rk.sm_needed;
       }
     }
     if (weighted_demand <= kGrantEpsilon) {
@@ -463,22 +487,18 @@ void Device::ComputeTargets() {
     }
     const double fill = remaining / weighted_demand;
     bool any_capped = false;
-    double used = 0.0;
-    for (std::size_t i = 0; i < kernels.size(); ++i) {
-      if (capped[i]) {
+    for (RunningKernel& rk : running_) {
+      if (rk.capped) {
         continue;
       }
-      const int priority = streams_[static_cast<std::size_t>(kernels[i]->stream)].priority;
-      const double share = fill * std::pow(4.0, priority) * kernels[i]->sm_needed;
-      const double demand = static_cast<double>(kernels[i]->sm_needed);
+      const double share = fill * rk.weight * rk.sm_needed;
+      const double demand = static_cast<double>(rk.sm_needed);
       if (share >= demand) {
-        kernels[i]->target = demand;
-        used += demand;
-        capped[i] = true;
+        rk.target = demand;
+        rk.capped = true;
         any_capped = true;
       } else {
-        kernels[i]->target = share;  // provisional; refined if others cap out
-        used += share;
+        rk.target = share;  // provisional; refined if others cap out
       }
     }
     if (!any_capped) {
@@ -486,11 +506,11 @@ void Device::ComputeTargets() {
     }
     // Remove the capped kernels' demand and re-fill the rest from scratch.
     remaining = static_cast<double>(effective_sms_);
-    for (std::size_t i = 0; i < kernels.size(); ++i) {
-      if (capped[i]) {
-        remaining -= kernels[i]->target;
+    for (RunningKernel& rk : running_) {
+      if (rk.capped) {
+        remaining -= rk.target;
       } else {
-        kernels[i]->target = 0.0;
+        rk.target = 0.0;
       }
     }
     remaining = std::max(0.0, remaining);
@@ -515,6 +535,7 @@ void Device::MaybeScheduleRebalance() {
         // DUR_THRESHOLD throttle exists to bound (§5.1.1).
         const double releasable = rk.granted * kRebalanceQuantumUs / rk.block_duration;
         rk.granted = std::max(rk.target, rk.granted - releasable);
+        InvalidateAggregates();
       }
     }
     // Freed SMs are re-granted (and further shrink ticks scheduled) by the
@@ -540,18 +561,16 @@ void Device::Reschedule() {
     // (priority, submission) order. Shrinking waits for the rebalance
     // quantum — granted SMs are never revoked instantly (no preemption of
     // running blocks).
-    std::vector<RunningKernel*> wanting;
+    std::vector<RunningKernel*>& wanting = wanting_scratch_;
+    wanting.clear();
     for (RunningKernel& rk : running_) {
       if (rk.granted + kGrantEpsilon < rk.target) {
         wanting.push_back(&rk);
       }
     }
-    std::sort(wanting.begin(), wanting.end(), [this](const RunningKernel* a,
-                                                     const RunningKernel* b) {
-      const int pa = streams_[static_cast<std::size_t>(a->stream)].priority;
-      const int pb = streams_[static_cast<std::size_t>(b->stream)].priority;
-      if (pa != pb) {
-        return pa > pb;
+    std::sort(wanting.begin(), wanting.end(), [](const RunningKernel* a, const RunningKernel* b) {
+      if (a->priority != b->priority) {
+        return a->priority > b->priority;
       }
       return a->seq < b->seq;
     });
@@ -563,6 +582,7 @@ void Device::Reschedule() {
       const double grant = std::min(free, rk->target - rk->granted);
       rk->granted += grant;
       free -= grant;
+      InvalidateAggregates();
     }
 
     // If nothing granted is already finished, the state is stable.
@@ -591,7 +611,7 @@ void Device::Reschedule() {
   sim_->Cancel(completion_event_);
   completion_event_ = EventHandle();
   DurationUs next_completion = std::numeric_limits<DurationUs>::infinity();
-  ComputeRates(&rates_scratch_);
+  RefreshAggregates();
   for (const auto& [rk, rate] : rates_scratch_) {
     if (rate > 0.0) {
       next_completion = std::min(next_completion, rk->remaining / rate);

@@ -73,7 +73,10 @@ struct KernelExecRecord {
 
 class Device {
  public:
-  using CompletionCb = std::function<void()>;
+  // Completion callbacks share the simulator's inline-storage callback type,
+  // so handing one to the event loop is a move, not a re-wrap, and captures
+  // up to its inline size never touch the heap.
+  using CompletionCb = Simulator::Callback;
   using KernelTraceSink = std::function<void(const KernelExecRecord&)>;
 
   Device(Simulator* sim, DeviceSpec spec);
@@ -87,7 +90,8 @@ class Device {
   int stream_priority(StreamId stream) const;
 
   // --- Op submission (asynchronous; `done` fires via a zero-delay event). ---
-  void LaunchKernel(StreamId stream, const KernelDesc& kernel, CompletionCb done = nullptr);
+  // Takes the descriptor by value: callers that std::move it in pay no copy.
+  void LaunchKernel(StreamId stream, KernelDesc kernel, CompletionCb done = nullptr);
   void EnqueueMemcpy(StreamId stream, std::size_t bytes, MemcpyKind kind,
                      CompletionCb done = nullptr);
   void EnqueueMemset(StreamId stream, std::size_t bytes, CompletionCb done = nullptr);
@@ -99,7 +103,8 @@ class Device {
   // fires. This keeps external work FIFO-ordered with the stream's other ops
   // and visible to StreamIdle / SynchronizeDevice, without the device
   // knowing what the work is.
-  using ExternalBody = std::function<void(CompletionCb)>;
+  using ExternalDone = std::function<void()>;
+  using ExternalBody = std::function<void(ExternalDone)>;
   void EnqueueExternal(StreamId stream, ExternalBody body, CompletionCb done = nullptr);
   // Fires once every stream has drained (device-wide synchronisation, the
   // semantics cudaMalloc/cudaFree impose in §5.1.3).
@@ -162,6 +167,13 @@ class Device {
   void AttachHostLink(HostLinkModel* host_link, int gpu_index);
   int gpu_index() const { return gpu_index_; }
 
+  // Exact-equality oracle for the cached resident-set aggregates: when on,
+  // every reuse of the cached grant total and progress rates is checked
+  // (ORION_CHECK) against a fresh recomputation, bit for bit. Tests turn it
+  // on; it changes no output.
+  void set_debug_oracle(bool on) { debug_oracle_ = on; }
+  std::size_t debug_oracle_checks() const { return debug_oracle_checks_; }
+
  private:
   struct Op {
     enum class Type : std::uint8_t { kKernel, kMemcpy, kMemset, kEvent, kExternal };
@@ -175,26 +187,54 @@ class Device {
     std::uint64_t seq = 0;        // global submission order (determinism)
   };
 
+  // FIFO of ops not yet started. A vector plus a head index: popped slots
+  // are reused once the queue drains (or compacted when half of it is
+  // popped), so steady-state submission allocates nothing, unlike a deque,
+  // which frees and reallocates a node every few ops.
+  class OpQueue {
+   public:
+    bool empty() const { return head_ == ops_.size(); }
+    Op& front() { return ops_[head_]; }
+    void push_back(Op op) { ops_.push_back(std::move(op)); }
+    void pop_front() {
+      ++head_;
+      if (head_ == ops_.size()) {
+        ops_.clear();
+        head_ = 0;
+      } else if (head_ >= 16 && 2 * head_ >= ops_.size()) {
+        ops_.erase(ops_.begin(), ops_.begin() + static_cast<std::ptrdiff_t>(head_));
+        head_ = 0;
+      }
+    }
+
+   private:
+    std::vector<Op> ops_;
+    std::size_t head_ = 0;
+  };
+
   struct Stream {
     int priority = kPriorityDefault;
-    std::deque<Op> queue;        // ops not yet started (front = next)
+    OpQueue queue;               // ops not yet started (front = next)
     bool head_active = false;    // front-of-queue op currently executing
+    CompletionCb head_done;      // completion of the executing head op
   };
 
   struct RunningKernel {
     StreamId stream = kInvalidStream;
+    int priority = kPriorityDefault;  // the stream's priority
+    double weight = 1.0;              // 4^priority, the water-filling weight
     KernelDesc desc;
     DurationUs remaining = 0.0;  // alone-time µs of work left
     int sm_needed = 0;           // demand, capped at device size
     double granted = 0.0;        // SMs currently held (fluid share)
     double target = 0.0;         // allocation target from the last rebalance
+    bool capped = false;         // ComputeTargets: target pinned at demand
     // Expected lifetime of one thread-block wave: duration / wave count.
     // Determines how fast this kernel's SMs drain to other kernels when its
     // allocation target shrinks (blocks are never preempted; they retire).
     DurationUs block_duration = 0.0;
     TimeUs started_at = 0.0;
     std::uint64_t seq = 0;
-    CompletionCb done;
   };
 
   struct PendingCopy {
@@ -204,7 +244,6 @@ class Device {
     int priority = kPriorityDefault;  // stream priority at enqueue time
     MemcpyKind kind = MemcpyKind::kHostToDevice;
     std::uint64_t seq = 0;
-    CompletionCb done;
   };
 
   // Integrates running-kernel progress from last_update_ to now and records
@@ -224,16 +263,25 @@ class Device {
   // that running thread blocks are never preempted but retire continuously.
   void Reschedule();
   void MaybeScheduleRebalance();
-  double GrantedTotal() const;
+  // Sum of grants over the resident set, in list order.
+  double SumGrants() const;
+  double GrantedTotal() const { return aggregates_valid_ ? granted_total_ : SumGrants(); }
+  // Recomputes granted_total_ and rates_scratch_ if a grant, the set of
+  // granted kernels or the memory bandwidth changed since they were last
+  // computed. Both are recomputed from scratch in list order, so a cached
+  // value is bit-identical to a fresh one (the debug oracle checks this).
+  void RefreshAggregates();
+  void InvalidateAggregates() { aggregates_valid_ = false; }
   // Retires every running kernel whose remaining work reached zero.
   void CompleteFinishedKernels();
   // Starts the front op of `stream` if it is startable (event/memset resolve
   // immediately; memcpy goes to the copy engine; kernels wait for SMs).
   void ActivateStreamHead(StreamId stream);
-  void FinishOp(StreamId stream, CompletionCb done);
+  // Retires the stream's executing head op: fires its completion and starts
+  // the next op.
+  void FinishOp(StreamId stream);
   void StartNextCopy();
   void CheckDeviceSync();
-  double CurrentSlowdown() const;
   void DeliverCallback(CompletionCb cb);
 
   Simulator* sim_;
@@ -242,17 +290,26 @@ class Device {
   double membw_factor_ = 1.0;  // remaining fraction of peak memory bandwidth
   std::vector<Stream> streams_;
   std::list<RunningKernel> running_;
+  std::list<RunningKernel> spare_kernels_;  // retired nodes, reused by activation
   std::uint64_t next_seq_ = 0;
   TimeUs last_update_ = 0.0;
   EventHandle completion_event_;
   bool in_reschedule_ = false;
   bool rebalance_pending_ = false;
-  // Scratch for ComputeRates callers (AdvanceTo / Reschedule run once per
-  // device event; reusing the buffer keeps the hot path allocation-free).
+  // Cached aggregates over the resident set (see RefreshAggregates): the sum
+  // of grants and every granted kernel's progress rate. Reusing the buffers
+  // keeps the hot path allocation-free.
+  bool aggregates_valid_ = false;
+  double granted_total_ = 0.0;
   std::vector<std::pair<RunningKernel*, double>> rates_scratch_;
+  bool debug_oracle_ = false;
+  std::size_t debug_oracle_checks_ = 0;
+  // Scratch for Reschedule's grant pass.
+  std::vector<RunningKernel*> wanting_scratch_;
 
   // Copy engine: single queue, one transfer at a time.
   std::deque<PendingCopy> copy_queue_;
+  PendingCopy active_copy_;  // the chunk in flight, while copy_active_
   bool copy_active_ = false;
   bool pcie_priority_ = false;
   EventHandle copy_event_;

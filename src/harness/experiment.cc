@@ -327,6 +327,18 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
 
   const TimeUs measure_from = config.warmup_us;
   const TimeUs horizon = config.warmup_us + config.duration_us;
+  // Utilization of the shared device (or the high-priority client's device
+  // in the Ideal configuration), averaged over the measured window.
+  std::size_t util_index = 0;
+  if (dedicated || mig) {
+    for (std::size_t i = 0; i < config.clients.size(); ++i) {
+      if (config.clients[i].high_priority) {
+        util_index = i;
+        break;
+      }
+    }
+  }
+  runtimes[util_index]->device().utilization().DeclareWindow(measure_from, horizon);
   for (auto& driver : drivers) {
     driver->set_measure_from(measure_from);
     driver->Start();
@@ -369,17 +381,6 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
       cr.page_stall_us = pager->client_stall_us(static_cast<int>(driver->id()));
     }
     result.clients.push_back(std::move(cr));
-  }
-  // Utilization of the shared device (or the high-priority client's device
-  // in the Ideal configuration).
-  std::size_t util_index = 0;
-  if (dedicated || mig) {
-    for (std::size_t i = 0; i < config.clients.size(); ++i) {
-      if (config.clients[i].high_priority) {
-        util_index = i;
-        break;
-      }
-    }
   }
   result.utilization =
       runtimes[util_index]->device().utilization().AverageOver(measure_from, horizon);

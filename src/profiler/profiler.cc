@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "src/common/check.h"
+#include "src/common/stats.h"
 #include "src/runtime/gpu_runtime.h"
 #include "src/sim/simulator.h"
 
@@ -19,17 +20,19 @@ namespace {
 // host time; blocking ops stall the host until the device completes them.
 class Replayer {
  public:
+  using RequestBegin = std::function<void(int request, TimeUs start)>;
   using RequestDone = std::function<void(int request, TimeUs start, TimeUs end)>;
 
   Replayer(Simulator* sim, runtime::GpuRuntime* rt, gpusim::StreamId stream,
            std::vector<runtime::Op> ops, DurationUs overhead, int total_requests,
-           RequestDone on_done)
+           RequestBegin on_begin, RequestDone on_done)
       : sim_(sim),
         rt_(rt),
         stream_(stream),
         ops_(std::move(ops)),
         overhead_(overhead),
         total_requests_(total_requests),
+        on_begin_(std::move(on_begin)),
         on_done_(std::move(on_done)) {
     ORION_CHECK(!ops_.empty());
   }
@@ -43,6 +46,7 @@ class Replayer {
     }
     next_op_ = 0;
     request_start_ = sim_->now();
+    on_begin_(request_, request_start_);
     SubmitNext();
   }
 
@@ -78,6 +82,7 @@ class Replayer {
   std::vector<runtime::Op> ops_;
   DurationUs overhead_;
   int total_requests_;
+  RequestBegin on_begin_;
   RequestDone on_done_;
   int request_ = 0;
   std::size_t next_op_ = 0;
@@ -120,7 +125,13 @@ WorkloadProfile ProfileWorkload(const gpusim::DeviceSpec& device,
   const int total = options.warmup_requests + options.measured_requests;
   LatencyRecorder latencies;
   TimeUs measure_start = 0.0;
+  gpusim::UtilizationTracker& utilization = rt.device().utilization();
   Replayer replayer(&sim, &rt, stream, ops, options.launch_overhead_us, total,
+                    [&](int request, TimeUs start) {
+                      if (request == options.warmup_requests) {
+                        utilization.DeclareWindow(start, gpusim::UtilizationTracker::kOpenEnded);
+                      }
+                    },
                     [&](int request, TimeUs start, TimeUs end) {
                       if (request == options.warmup_requests) {
                         measure_start = start;
@@ -138,7 +149,7 @@ WorkloadProfile ProfileWorkload(const gpusim::DeviceSpec& device,
   profile.request_latency_us = latencies.mean();
 
   const gpusim::UtilizationSample avg =
-      rt.device().utilization().AverageOver(measure_start, sim.now());
+      utilization.AverageOver(measure_start, gpusim::UtilizationTracker::kOpenEnded);
   profile.avg_compute_util = avg.compute;
   profile.avg_membw_util = avg.membw;
   profile.avg_sm_busy = avg.sm_busy;

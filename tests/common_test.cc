@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <utility>
@@ -150,21 +151,6 @@ TEST(LatencyRecorderTest, InterleavedAddAndQuery) {
   EXPECT_DOUBLE_EQ(rec.p50(), 15.0);
 }
 
-TEST(TimeWeightedStatsTest, WeightsByDuration) {
-  TimeWeightedStats stats;
-  stats.AddInterval(0.0, 10.0, 1.0);
-  stats.AddInterval(10.0, 40.0, 0.0);
-  EXPECT_DOUBLE_EQ(stats.average(), 0.25);
-  EXPECT_DOUBLE_EQ(stats.total_time(), 40.0);
-  EXPECT_DOUBLE_EQ(stats.FractionAbove(0.5), 0.25);
-}
-
-TEST(TimeWeightedStatsTest, ZeroWidthIntervalIgnored) {
-  TimeWeightedStats stats;
-  stats.AddInterval(5.0, 5.0, 100.0);
-  EXPECT_DOUBLE_EQ(stats.average(), 0.0);
-}
-
 TEST(TableTest, RendersAlignedTable) {
   Table table({"name", "value"});
   table.AddRow({"alpha", Cell(1.5)});
@@ -205,6 +191,21 @@ TEST(InlineFunctionTest, EmptyAndNullptrSemantics) {
   EXPECT_EQ(f(), 3);
   f = nullptr;
   EXPECT_TRUE(f == nullptr);
+}
+
+TEST(InlineFunctionTest, WrappingAnEmptyCallableStaysEmpty) {
+  std::function<int()> empty;
+  TestFn from_function = empty;
+  EXPECT_TRUE(from_function == nullptr);
+  int (*null_pointer)() = nullptr;
+  TestFn from_pointer = null_pointer;
+  EXPECT_TRUE(from_pointer == nullptr);
+  TestFn assigned = []() { return 1; };
+  assigned = std::function<int()>();
+  EXPECT_TRUE(assigned == nullptr);
+  TestFn full = std::function<int()>([]() { return 5; });
+  ASSERT_TRUE(full != nullptr);
+  EXPECT_EQ(full(), 5);
 }
 
 TEST(InlineFunctionTest, SmallCaptureStaysInline) {

@@ -13,8 +13,13 @@
 //   P6  Determinism: identical inputs give identical schedules.
 //   P7  Events: a CUDA event never reports done before every prior op on
 //       its stream completed.
+//   P8  Golden digest: a seeded churn run (priority streams, chunked
+//       PCIe-priority copies, mid-run SM loss and bandwidth scaling,
+//       executed-work probes) reproduces a pinned digest of every completion
+//       time and utilization window, bit for bit.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 #include <vector>
 
@@ -220,6 +225,141 @@ TEST_P(EventOrderTest, EventNeverFiresBeforePriorOps) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EventOrderTest, ::testing::Values(7, 11, 19, 42, 97));
+
+// FNV-1a over the bit patterns of doubles and integers.
+class BitDigest {
+ public:
+  void U64(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      hash_ ^= (v >> (8 * i)) & 0xffu;
+      hash_ *= 0x100000001b3ULL;
+    }
+  }
+  void F64(double v) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    U64(bits);
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+constexpr TimeUs kChurnWindowFrom = 1000.0;
+constexpr TimeUs kChurnWindowTo = 6000.0;
+constexpr TimeUs kChurnForever = 1e12;
+
+// P8: one seeded churn run, digested. Every completion time (kernels, copies,
+// events), every StreamExecutedUs probe and two utilization windows feed the
+// digest as bit patterns, so any change to the device model's arithmetic or
+// event order shows up here without running the end-to-end benchmark.
+std::uint64_t RunChurn(std::uint64_t seed, bool debug_oracle = false,
+                       std::size_t* oracle_checks = nullptr) {
+  Rng rng(seed);
+  Simulator sim;
+  Device device(&sim, DeviceSpec::V100_16GB());
+  device.set_pcie_priority_scheduling(true);
+  device.set_debug_oracle(debug_oracle);
+  std::vector<StreamId> streams;
+  for (int s = 0; s < 6; ++s) {
+    streams.push_back(device.CreateStream(s < 2 ? kPriorityHigh : kPriorityDefault));
+  }
+  BitDigest digest;
+  device.set_kernel_trace_sink([&digest](const KernelExecRecord& rec) {
+    digest.U64(rec.kernel_id);
+    digest.U64(static_cast<std::uint64_t>(rec.stream));
+    digest.F64(rec.start);
+    digest.F64(rec.end);
+    digest.U64(static_cast<std::uint64_t>(rec.sm_needed));
+  });
+  device.utilization().DeclareWindow(0.0, kChurnForever);
+  device.utilization().DeclareWindow(kChurnWindowFrom, kChurnWindowTo);
+  std::vector<std::unique_ptr<GpuEvent>> events;
+  TimeUs at = 0.0;
+  for (int i = 0; i < 600; ++i) {
+    at += rng.Exponential(12.0);
+    const StreamId stream = streams[static_cast<std::size_t>(rng.UniformInt(0, 5))];
+    const double pick = rng.NextDouble();
+    if (pick < 0.70) {
+      KernelDesc kernel;
+      kernel.kernel_id = static_cast<std::uint64_t>(i);
+      kernel.name = "churn" + std::to_string(i);
+      kernel.duration_us = rng.UniformDouble(1.0, 300.0);
+      kernel.compute_util = rng.UniformDouble(0.0, 0.95);
+      kernel.membw_util = rng.UniformDouble(0.0, 0.95);
+      kernel.geometry = {static_cast<int>(rng.UniformInt(1, 3000)),
+                         1 << rng.UniformInt(5, 10), static_cast<int>(rng.UniformInt(16, 96)),
+                         static_cast<int>(rng.UniformInt(0, 32)) * 1024};
+      sim.ScheduleAt(at, [&device, &digest, &sim, stream, kernel = std::move(kernel)] {
+        device.LaunchKernel(stream, kernel, [&digest, &sim] { digest.F64(sim.now()); });
+      });
+    } else if (pick < 0.82) {
+      const auto bytes = static_cast<std::size_t>(rng.UniformInt(1000, 9000000));
+      const MemcpyKind kind =
+          rng.NextDouble() < 0.5 ? MemcpyKind::kHostToDevice : MemcpyKind::kDeviceToHost;
+      sim.ScheduleAt(at, [&device, &digest, &sim, stream, bytes, kind] {
+        device.EnqueueMemcpy(stream, bytes, kind, [&digest, &sim] { digest.F64(sim.now()); });
+      });
+    } else if (pick < 0.90) {
+      events.push_back(std::make_unique<GpuEvent>());
+      GpuEvent* event = events.back().get();
+      sim.ScheduleAt(at, [&device, &digest, &sim, stream, event] {
+        device.RecordEvent(stream, event, [&digest, &sim] { digest.F64(sim.now()); });
+      });
+    } else if (pick < 0.96) {
+      sim.ScheduleAt(at, [&device, &digest, stream] {
+        digest.F64(device.StreamExecutedUs(stream));
+        digest.U64(static_cast<std::uint64_t>(device.BusySms()));
+      });
+    } else if (pick < 0.98) {
+      const int lost = static_cast<int>(rng.UniformInt(1, 3));
+      sim.ScheduleAt(at, [&device, lost] { device.DegradeSms(lost); });
+    } else {
+      const double factor = rng.UniformDouble(0.8, 1.1);
+      sim.ScheduleAt(at, [&device, factor] { device.ScaleMembw(factor); });
+    }
+  }
+  sim.RunUntilIdle();
+  for (const auto& event : events) {
+    digest.F64(event->completed_at);
+  }
+  for (const auto& [from, to] :
+       {std::pair{0.0, kChurnForever}, std::pair{kChurnWindowFrom, kChurnWindowTo}}) {
+    const UtilizationSample avg = device.utilization().AverageOver(from, to);
+    digest.F64(avg.compute);
+    digest.F64(avg.membw);
+    digest.F64(avg.sm_busy);
+  }
+  digest.U64(device.kernels_completed());
+  digest.U64(device.memcpys_completed());
+  digest.U64(sim.events_processed());
+  digest.F64(sim.now());
+  if (oracle_checks != nullptr) {
+    *oracle_checks = device.debug_oracle_checks();
+  }
+  return digest.value();
+}
+
+TEST(DeviceGoldenTest, ChurnDigestIsPinned) {
+  // Recorded from the device model before its hot-path rewrite; a change
+  // here means some output bit moved.
+  const std::uint64_t a = RunChurn(2024);
+  EXPECT_EQ(a, RunChurn(2024)) << "P6 violated";
+  EXPECT_EQ(a, 0x41403fda9cf051a8ULL) << std::hex << "digest 0x" << a;
+}
+
+TEST(DeviceGoldenTest, CachedAggregatesMatchTheOracle) {
+  // The oracle recomputes the grant total and progress rates on every reuse
+  // of the cached values and aborts on any bit of difference; it must not
+  // change the run either.
+  std::size_t checks = 0;
+  EXPECT_EQ(RunChurn(2024, /*debug_oracle=*/true, &checks), 0x41403fda9cf051a8ULL);
+  EXPECT_GT(checks, 100u);
+  for (const std::uint64_t seed : {1, 7, 99}) {
+    EXPECT_EQ(RunChurn(seed, true), RunChurn(seed, false)) << "seed " << seed;
+  }
+}
 
 }  // namespace
 }  // namespace gpusim

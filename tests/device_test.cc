@@ -3,6 +3,7 @@
 // priorities, events, copies, and device synchronisation.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "src/gpusim/device.h"
@@ -280,6 +281,7 @@ TEST_F(DeviceTest, MemsetCompletes) {
 TEST_F(DeviceTest, UtilizationAveragesReflectLoad) {
   Device device(&sim_, spec_);
   const StreamId stream = device.CreateStream();
+  device.utilization().DeclareWindow(0.0, 100.0);
   device.LaunchKernel(stream, MakeKernel("k", 100.0, 0.8, 0.4, 40));
   sim_.RunUntilIdle();
   sim_.ScheduleAt(200.0, []() {});  // extend the timeline with idle time
@@ -349,6 +351,33 @@ TEST_F(DeviceTest, ManyKernelsConserveWork) {
   // Work is conserved up to the co-residency interference penalty (<= ~5%).
   EXPECT_GE(sim_.now(), kN * 100.0);
   EXPECT_LE(sim_.now(), kN * 100.0 * 1.08);
+}
+
+TEST(DeviceDeathTest, NonFiniteOrNegativeUtilizationIsRejected) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto launch = [](double compute_util, double membw_util) {
+    Simulator sim;
+    Device device(&sim, DeviceSpec::V100_16GB());
+    const StreamId stream = device.CreateStream();
+    device.LaunchKernel(stream, MakeKernel("bad_kernel", 10.0, compute_util, membw_util, 8));
+  };
+  EXPECT_DEATH(launch(nan, 0.2), "bad_kernel has invalid compute_util");
+  EXPECT_DEATH(launch(inf, 0.2), "bad_kernel has invalid compute_util");
+  EXPECT_DEATH(launch(-0.1, 0.2), "bad_kernel has invalid compute_util");
+  EXPECT_DEATH(launch(0.5, nan), "bad_kernel has invalid membw_util");
+  EXPECT_DEATH(launch(0.5, -inf), "bad_kernel has invalid membw_util");
+}
+
+TEST(DeviceDeathTest, NonFiniteMembwScaleIsRejected) {
+  const auto scale = [](double factor) {
+    Simulator sim;
+    Device device(&sim, DeviceSpec::V100_16GB());
+    device.ScaleMembw(factor);
+  };
+  EXPECT_DEATH(scale(std::numeric_limits<double>::infinity()), "finite and positive");
+  EXPECT_DEATH(scale(std::numeric_limits<double>::quiet_NaN()), "finite and positive");
+  EXPECT_DEATH(scale(0.0), "finite and positive");
 }
 
 }  // namespace
