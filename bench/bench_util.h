@@ -7,10 +7,15 @@
 #ifndef BENCH_BENCH_UTIL_H_
 #define BENCH_BENCH_UTIL_H_
 
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <string>
 #include <string_view>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 #include "src/common/table.h"
@@ -42,14 +47,30 @@ struct BenchArgs {
   double flush_period_ms = 0.0;  // --flush-period-ms=X: stream exports during
                                  // the run every X ms of sim time (0 = only
                                  // at the end)
-  int lp_threads = 1;  // --lp-threads=N: parallel LP simulation for the
-                       // datacenter-capable benches (N worker threads; 1 =
-                       // sequential). Results are bit-identical at any N.
 };
 
 inline BenchArgs& GlobalBenchArgs() {
   static BenchArgs args;
   return args;
+}
+
+// Parses all of `text` as a T, or exits 2 with a message naming `flag`:
+// trailing junk, a sign on an unsigned value, overflow and (for floating
+// point) NaN or infinity are all rejected.
+template <typename T>
+T ParseFlagValue(std::string_view flag, std::string_view text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  bool ok = ec == std::errc() && ptr == end;
+  if constexpr (std::is_floating_point_v<T>) {
+    ok = ok && std::isfinite(value);
+  }
+  if (!ok) {
+    std::cerr << flag << ": invalid value '" << text << "'\n";
+    std::exit(2);
+  }
+  return value;
 }
 
 // Parses --quick / --seed=N / --window-scale=X / --help and removes them
@@ -64,9 +85,9 @@ inline void ParseBenchArgs(int* argc, char** argv) {
     if (arg == "--quick") {
       args.quick = true;
     } else if (arg.rfind("--seed=", 0) == 0) {
-      args.seed = std::strtoull(argv[i] + 7, nullptr, 10);
+      args.seed = ParseFlagValue<std::uint64_t>("--seed", arg.substr(7));
     } else if (arg.rfind("--window-scale=", 0) == 0) {
-      args.window_scale = std::strtod(argv[i] + 15, nullptr);
+      args.window_scale = ParseFlagValue<double>("--window-scale", arg.substr(15));
       if (args.window_scale <= 0.0) {
         std::cerr << "--window-scale must be > 0\n";
         std::exit(2);
@@ -83,14 +104,8 @@ inline void ParseBenchArgs(int* argc, char** argv) {
       args.attr_out = std::string(arg.substr(11));
     } else if (arg == "--attr-out" && i + 1 < *argc) {
       args.attr_out = argv[++i];
-    } else if (arg.rfind("--lp-threads=", 0) == 0) {
-      args.lp_threads = static_cast<int>(std::strtol(argv[i] + 13, nullptr, 10));
-      if (args.lp_threads < 1) {
-        std::cerr << "--lp-threads must be >= 1\n";
-        std::exit(2);
-      }
     } else if (arg.rfind("--flush-period-ms=", 0) == 0) {
-      args.flush_period_ms = std::strtod(argv[i] + 18, nullptr);
+      args.flush_period_ms = ParseFlagValue<double>("--flush-period-ms", arg.substr(18));
       if (args.flush_period_ms < 0.0) {
         std::cerr << "--flush-period-ms must be >= 0\n";
         std::exit(2);
@@ -99,7 +114,7 @@ inline void ParseBenchArgs(int* argc, char** argv) {
       std::cout << "Usage: " << argv[0]
                 << " [--quick] [--seed=N] [--window-scale=X]"
                    " [--trace-out=P] [--metrics-out=P] [--attr-out=P]"
-                   " [--flush-period-ms=X] [--lp-threads=N]\n"
+                   " [--flush-period-ms=X]\n"
                 << "  --quick           ~8x shorter measurement windows (CI smoke)\n"
                 << "  --seed=N          experiment seed (default 42)\n"
                 << "  --window-scale=X  multiply warmup+measurement windows by X\n"
@@ -108,10 +123,7 @@ inline void ParseBenchArgs(int* argc, char** argv) {
                 << "  --attr-out=P      write that run's per-service latency attribution\n"
                    "                    (SLO-miss blame ledger) as CSV to P\n"
                 << "  --flush-period-ms=X  also rewrite those artefacts every X ms of\n"
-                   "                    simulated time during the run (streaming export)\n"
-                << "  --lp-threads=N    run multi-node simulations as N parallel logical\n"
-                   "                    processes (datacenter-capable benches; results are\n"
-                   "                    bit-identical to --lp-threads=1)\n";
+                   "                    simulated time during the run (streaming export)\n";
       std::exit(0);
     } else if (arg.rfind("--benchmark", 0) == 0) {
       argv[kept++] = argv[i];  // google-benchmark flag: leave for the caller
@@ -122,10 +134,6 @@ inline void ParseBenchArgs(int* argc, char** argv) {
   }
   *argc = kept;
 }
-
-// Worker threads for the parallel LP simulation (datacenter-capable benches
-// pass this through to ClusterConfig::lp_threads; 1 = sequential engine).
-inline int LpThreads() { return GlobalBenchArgs().lp_threads; }
 
 // True when --trace-out or --metrics-out was given, i.e. the bench should
 // run one arm with a telemetry hub attached.

@@ -8,7 +8,6 @@
 #include "src/datacenter/cluster.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -17,22 +16,17 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
-#include <thread>
-#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "src/common/check.h"
 #include "src/common/rng.h"
 #include "src/datacenter/cluster_topology.h"
-#include "src/datacenter/lp_runtime.h"
 #include "src/datacenter/node_engine.h"
 #include "src/interconnect/fabric.h"
 #include "src/serving/batch_cost.h"
 #include "src/sim/simulator.h"
-#include "src/sim/spsc.h"
 #include "src/trace/arrivals.h"
 #include "src/trace/diurnal.h"
 
@@ -70,626 +64,6 @@ std::unique_ptr<trace::ArrivalProcess> MakeArrivals(const serving::ModelServiceC
 struct ReplicaRef {
   int node = -1;
   int slot = -1;
-};
-
-// ---------------------------------------------------------------------------
-// Parallel LP runtime (ClusterConfig::lp_threads > 1; DESIGN.md §16).
-//
-// One NodeLp per node: the node's NodeEngine and NIC fabric run on the LP's
-// own Simulator, driven by a worker thread that merges the node's event queue
-// with timestamped WireMsgs from the cluster under the conservative clock
-// protocol of src/sim/lp.h. Everything the sequential engine observed
-// synchronously from node-side execution travels back as NodeMsgs, applied by
-// the cluster LP in deterministic (stamp, node, arrival-seq) order — so an
-// N-thread run is bit-identical to the sequential one.
-//
-// Control-plane actions that need exact global state (faults, autoscaler
-// evaluations) happen at static rendezvous times known up front
-// (BuildStaticTimes): every node parks exactly at the static, the cluster
-// thread then reads and mutates node state directly (the unchanged sequential
-// code paths), and releases the fleet.
-// ---------------------------------------------------------------------------
-class NodeLp final : public NodeHost {
- public:
-  // Per-LP copy of one model service's cost state. BatchCostModel and
-  // LlmCostModel memoise internally (mutable caches), so sharing the cluster
-  // engine's instances across threads would race; copies are value-identical
-  // (the caches never change results).
-  struct ModelCopy {
-    serving::ModelServiceConfig cfg;
-    serving::BatchCostModel cost;
-    std::unique_ptr<serving::LlmCostModel> llm_cost;  // null unless llm.enabled
-  };
-
-  // A response leg streaming toward the front-end on this node's NIC.
-  struct ResponseOp {
-    TimeUs created = 0.0;
-    interconnect::TransferId transfer = 0;
-    bool cancelled = false;
-    bool completed = false;
-    Request request;
-    int replica_id = -1;
-    int gpu = -1;  // global GPU of the serving replica
-    TimeUs batch_start = 0.0;
-    TimeUs batch_end = 0.0;
-  };
-
-  // What the cluster needs to finish a response cancelled by a node death.
-  struct CancelledResponse {
-    TimeUs when = 0.0;  // completion-accounting instant
-    Request request;
-    int replica_id = -1;
-    int gpu = -1;
-    TimeUs batch_start = 0.0;
-    TimeUs batch_end = 0.0;
-  };
-
-  NodeLp(int node_id, const ClusterSpec& spec, const serving::ServingConfig& config,
-         TimeUs horizon, NodeHost* cluster_host, const std::vector<TimeUs>* statics,
-         const std::atomic<std::size_t>* released, std::vector<ModelCopy> models)
-      : node_id_(node_id),
-        spec_(spec),
-        topo_([&] {
-          ClusterSpec s = spec;
-          return ClusterTopology(s);
-        }()),
-        batching_(config.batching),
-        gpu_memory_bytes_(config.device.memory_bytes),
-        attribution_(config.telemetry != nullptr && config.telemetry->attribution_enabled()),
-        horizon_(horizon),
-        models_(std::move(models)),
-        router_(config.policy, config.models.size()),
-        cluster_host_(cluster_host),
-        statics_(statics),
-        released_(released),
-        inbox_(1 << 13),
-        outbox_(1 << 13) {}
-
-  void set_engine(NodeEngine* engine) { engine_ = engine; }
-  void set_fabric(interconnect::Fabric* fabric) { fabric_ = fabric; }
-
-  Simulator& nsim() { return nsim_; }
-  LpClockBlock& clocks() { return clocks_; }
-  sim::SpscQueue<WireMsg>& inbox() { return inbox_; }
-  sim::SpscQueue<NodeMsg>& outbox() { return outbox_; }
-  const std::deque<ResponseOp>& response_ops() const { return response_ops_; }
-
-  // --- NodeHost (the node engine's world). ---
-
-  Simulator& sim() override { return nsim_; }
-  const serving::BatchingConfig& batching_config() const override { return batching_; }
-  const serving::BatchCostModel& model_cost(std::size_t model) const override {
-    return models_[model].cost;
-  }
-  serving::PriorityTier model_tier(std::size_t model) const override {
-    return models_[model].cfg.tier;
-  }
-  const serving::LlmServiceConfig* model_llm(std::size_t model) const override {
-    const ModelCopy& m = models_[model];
-    return m.cfg.llm.enabled ? &m.cfg.llm : nullptr;
-  }
-  const serving::LlmCostModel& model_llm_cost(std::size_t model) const override {
-    ORION_CHECK(models_[model].llm_cost != nullptr);
-    return *models_[model].llm_cost;
-  }
-  std::size_t gpu_memory_bytes() const override { return gpu_memory_bytes_; }
-  bool attribution() const override { return attribution_; }
-
-  void OnBatchServed(NodeEngine& node, Replica& r) override {
-    (void)node;
-    const TimeUs now = nsim_.now();
-    const int batch_size = static_cast<int>(r.in_flight.size());
-    const int gpu_global = topo_.GlobalGpu(node_id_, r.gpu);
-    for (const Request& request : r.in_flight) {
-      StartResponse(r.id, gpu_global, r.batch_start, now, request);
-    }
-    NodeMsg started;
-    started.kind = NodeMsg::Kind::kResponsesStarted;
-    started.stamp = now;
-    started.model = static_cast<int>(r.model);
-    started.count = batch_size;
-    Push(std::move(started));
-    NodeMsg stats;
-    stats.kind = NodeMsg::Kind::kBatchStats;
-    stats.stamp = now;
-    stats.model = static_cast<int>(r.model);
-    stats.count = batch_size;
-    if (models_[r.model].llm_cost != nullptr) {
-      double tokens = 0.0;
-      for (const Request& request : r.in_flight) {
-        tokens += 1.0 + static_cast<double>(request.target_tokens);
-      }
-      stats.llm_tokens = tokens;
-    }
-    Push(std::move(stats));
-  }
-
-  void OnDecodeStep(NodeEngine& node, Replica& r, int batch, int prefills, TimeUs start,
-                    TimeUs end) override {
-    (void)node;
-    (void)start;
-    NodeMsg msg;
-    msg.kind = NodeMsg::Kind::kDecodeStep;
-    msg.stamp = end;
-    msg.model = static_cast<int>(r.model);
-    msg.count = batch;
-    msg.prefills = prefills;
-    Push(std::move(msg));
-  }
-
-  void OnSequenceFinished(NodeEngine& node, Replica& r, const Request& request,
-                          TimeUs step_start, TimeUs step_end) override {
-    (void)node;
-    const int gpu_global = topo_.GlobalGpu(node_id_, r.gpu);
-    StartResponse(r.id, gpu_global, step_start, step_end, request);
-    NodeMsg started;
-    started.kind = NodeMsg::Kind::kResponsesStarted;
-    started.stamp = nsim_.now();
-    started.model = static_cast<int>(r.model);
-    started.count = 1;
-    Push(std::move(started));
-  }
-
-  void OnKvEviction(NodeEngine& node, Replica& r, const Request& request) override {
-    (void)node;
-    (void)request;
-    NodeMsg msg;
-    msg.kind = NodeMsg::Kind::kKvEvict;
-    msg.stamp = nsim_.now();
-    msg.model = static_cast<int>(r.model);
-    Push(std::move(msg));
-  }
-
-  void AccountReplicaTime(TimeUs active_since) override {
-    if (direct_) {
-      // Rendezvous (or setup/finalize): the cluster thread is executing this
-      // synchronously with both clocks aligned — account directly.
-      cluster_host_->AccountReplicaTime(active_since);
-      return;
-    }
-    NodeMsg msg;
-    msg.kind = NodeMsg::Kind::kRetire;
-    msg.stamp = nsim_.now();
-    msg.t0 = active_since;
-    Push(std::move(msg));
-  }
-
-  // --- Worker-thread event loop. ---
-
-  // One scheduling quantum: drain the inbox, merge staged wires with the
-  // node's own events under the conservative bound, park at the next static,
-  // publish clocks. Returns whether any progress was made.
-  bool Poll() {
-    if (finished_) {
-      return false;
-    }
-    if (parked_) {
-      if (released_->load(std::memory_order_acquire) <= k_) {
-        // Keep the clock protocol live while parked: prune acked sends so
-        // send_lb can rise to the park time, letting peers park too. The
-        // cluster may be driving this node directly at a rendezvous, so all
-        // shared state is touched only under the park lock (and skipped on
-        // contention — the cluster republishes on our behalf before release).
-        if (!TryLock()) {
-          return false;
-        }
-        const bool progress = DrainInbox();
-        PruneOutLedger();
-        PublishClocks();
-        Unlock();
-        return progress;
-      }
-      parked_ = false;
-      ++k_;
-    }
-    bool progress = DrainInbox();
-    if (k_ < statics_->size()) {
-      progress = RunToStatic((*statics_)[k_]) || progress;
-    } else {
-      progress = RunFinal() || progress;
-    }
-    if (!parked_) {
-      // The park transition published inside RunToStatic and then stored
-      // parked_at as its very last shared-state touch; publishing again here
-      // would race with a cluster that already saw the park and went direct.
-      PublishClocks();
-    }
-    return progress;
-  }
-
-  bool finished() const { return finished_; }
-
-  // --- Cluster-thread entry points (only while this LP is parked). ---
-
-  // The park lock makes the rendezvous exclusive: the cluster holds it for
-  // the whole direct-mode window, so the parked node's keep-alive publish
-  // (which reads the same simulator, staged map and ledgers) stays out.
-  void Lock() {
-    while (lock_.test_and_set(std::memory_order_acquire)) {
-      std::this_thread::yield();
-    }
-  }
-  bool TryLock() { return !lock_.test_and_set(std::memory_order_acquire); }
-  void Unlock() { lock_.clear(std::memory_order_release); }
-
-  // Republishes this node's clocks after a rendezvous mutated its state
-  // (park lock held): send_lb must fold any directly-staged wire before the
-  // fleet resumes, or the cluster could outrun the messages the node will
-  // push when it applies them.
-  void RepublishClocks() {
-    PruneOutLedger();
-    PublishClocks();
-  }
-
-  void SetDirect(bool direct) { direct_ = direct; }
-
-  // Rendezvous-time wire send: bypass the queue straight into the staged map
-  // (the node cannot drain while parked, so a full queue would deadlock; the
-  // insert is ordered before the release that wakes the node).
-  void StageDirect(WireMsg msg) {
-    staged_.emplace(std::make_pair(msg.stamp, stage_seq_++), std::move(msg));
-  }
-
-  // Node-death replay bookkeeping (cluster thread, node parked at the fault).
-  void Tombstone(std::uint64_t op_id) { tombstones_.insert(op_id); }
-  bool HasAppliedWire(std::uint64_t op_id) const { return applied_.count(op_id) > 0; }
-  void CancelAppliedWire(std::uint64_t op_id) {
-    auto it = applied_.find(op_id);
-    ORION_CHECK(it != applied_.end());
-    it->second.cancelled = true;
-    fabric_->CancelTransfer(it->second.transfer);
-  }
-  CancelledResponse CancelResponse(std::size_t idx, TimeUs t_f, DurationUs setup_latency) {
-    ResponseOp& op = response_ops_[idx];
-    ORION_CHECK(!op.cancelled && !op.completed);
-    op.cancelled = true;
-    fabric_->CancelTransfer(op.transfer);
-    // Sequential semantics: a response still in its setup phase completes
-    // when the setup would have ended; a streaming one at the cancel instant.
-    const TimeUs setup_end = op.created + setup_latency;
-    CancelledResponse out;
-    out.when = setup_end > t_f ? setup_end : t_f;
-    out.request = std::move(op.request);
-    out.replica_id = op.replica_id;
-    out.gpu = op.gpu;
-    out.batch_start = op.batch_start;
-    out.batch_end = op.batch_end;
-    return out;
-  }
-
-  // Re-arms the mirror diff baseline from current node state; called by the
-  // cluster's full resync so post-release deltas are relative to it.
-  void RefreshBaseline() {
-    const int n = engine_->num_slots();
-    last_.resize(static_cast<std::size_t>(n));
-    for (int slot = 0; slot < n; ++slot) {
-      last_[static_cast<std::size_t>(slot)] = Snapshot(engine_->replica(slot));
-    }
-  }
-
- private:
-  static MirrorReplica Snapshot(const Replica& r) {
-    MirrorReplica m;
-    m.state = r.state;
-    m.busy = r.busy;
-    m.busy_until = r.busy_until;
-    m.queued = r.batcher.size();
-    m.in_flight = r.in_flight.size();
-    return m;
-  }
-
-  bool DrainInbox() {
-    bool any = false;
-    WireMsg msg;
-    while (inbox_.TryPop(&msg)) {
-      staged_.emplace(std::make_pair(msg.stamp, stage_seq_++), std::move(msg));
-      any = true;
-    }
-    return any;
-  }
-
-  // Runs node events and staged wires, staged-first at equal stamps, strictly
-  // below min(published wire bound, the next static); parks at the static
-  // once nothing below it can still arrive.
-  bool RunToStatic(TimeUs s) {
-    bool progress = false;
-    PruneOutLedger();
-    const TimeUs bound = std::min(clocks_.wire_lb.Load(), s);
-    while (true) {
-      const TimeUs own = nsim_.NextEventTime();
-      const TimeUs st = staged_.empty() ? std::numeric_limits<TimeUs>::infinity()
-                                        : staged_.begin()->first.first;
-      if (st < bound && st <= own) {
-        ApplyStagedFront();
-      } else if (own < bound && own < st) {
-        if (!nsim_.RunOneBefore(bound)) {
-          break;
-        }
-        MirrorScan();
-      } else {
-        break;
-      }
-      progress = true;
-      DrainInbox();
-    }
-    if (nsim_.NextEventTime() >= s &&
-        (staged_.empty() || staged_.begin()->first.first >= s) &&
-        clocks_.wire_lb.Load() >= s) {
-      nsim_.AdvanceClockTo(s);
-      PublishClocks();
-      parked_ = true;
-      clocks_.parked_at.Store(s);
-      progress = true;
-    }
-    return progress;
-  }
-
-  // Past the last static (the horizon): everything left is stamped exactly at
-  // the horizon. Run it, discard post-horizon arrivals, and finish once the
-  // cluster's bound has moved past the horizon (no more traffic can come).
-  bool RunFinal() {
-    bool progress = false;
-    while (!staged_.empty()) {
-      auto it = staged_.begin();
-      if (it->first.first > horizon_) {
-        staged_.erase(it);  // would arrive after the horizon: never observable
-      } else {
-        ApplyStagedFront();
-        nsim_.RunUntil(horizon_);
-        MirrorScan();
-      }
-      progress = true;
-    }
-    if (nsim_.NextEventTime() <= horizon_) {
-      nsim_.RunUntil(horizon_);
-      MirrorScan();
-      progress = true;
-    }
-    PruneOutLedger();
-    if (inbox_.Empty() && staged_.empty() && clocks_.wire_lb.Load() > horizon_) {
-      PublishClocks();
-      finished_ = true;
-      clocks_.done.store(true, std::memory_order_release);
-      progress = true;
-    }
-    return progress;
-  }
-
-  void ApplyStagedFront() {
-    auto it = staged_.begin();
-    const TimeUs st = it->first.first;
-    WireMsg msg = std::move(it->second);
-    staged_.erase(it);
-    nsim_.AdvanceClockTo(st);
-    ApplyWire(std::move(msg));
-    MirrorScan();
-  }
-
-  void ApplyWire(WireMsg msg) {
-    switch (msg.kind) {
-      case WireMsg::Kind::kRequest:
-      case WireMsg::Kind::kState: {
-        if (tombstones_.erase(msg.op_id) > 0) {
-          return;  // this node died before the wire landed; the replay owns it
-        }
-        const std::uint64_t op_id = msg.op_id;
-        AppliedWire applied;
-        applied.is_state = msg.kind == WireMsg::Kind::kState;
-        applied.request = std::move(msg.request);
-        applied.forced = msg.forced;
-        auto [it, inserted] = applied_.emplace(op_id, std::move(applied));
-        ORION_CHECK(inserted);
-        it->second.transfer = fabric_->StartTransferNoSetup(
-            interconnect::kHostNode, 0, msg.bytes, [this, op_id] { OnWireStreamed(op_id); });
-        break;
-      }
-      case WireMsg::Kind::kActivate: {
-        Replica& r = engine_->replica(msg.slot);
-        if (r.state != Replica::State::kProvisioning) {
-          return;  // killed while provisioning
-        }
-        r.state = Replica::State::kActive;
-        r.active_since = nsim_.now();
-        if (attribution_) {
-          r.idle_since = nsim_.now();
-        }
-        break;
-      }
-    }
-  }
-
-  void OnWireStreamed(std::uint64_t op_id) {
-    auto it = applied_.find(op_id);
-    ORION_CHECK(it != applied_.end());
-    AppliedWire op = std::move(it->second);
-    applied_.erase(it);
-    if (op.cancelled) {
-      return;  // node death aborted the stream; the cluster replay completes it
-    }
-    NodeMsg done;
-    done.stamp = nsim_.now();
-    done.op_id = op_id;
-    if (op.is_state) {
-      done.kind = NodeMsg::Kind::kStateDone;
-      Push(std::move(done));
-      return;
-    }
-    done.kind = NodeMsg::Kind::kWireDone;
-    done.model = op.request.model;
-    Push(std::move(done));
-    DeliverLocal(std::move(op.request), op.forced);
-  }
-
-  // Level-2 routing against this node's own replicas — same views, same
-  // Router policy state (stateless for the policies the parallel path
-  // admits), same tie-breaks as the sequential Deliver.
-  void DeliverLocal(Request request, std::optional<RouteReason> forced) {
-    const auto m = static_cast<std::size_t>(request.model);
-    std::vector<ReplicaView> views;
-    std::vector<int> slots;
-    for (int slot = 0; slot < engine_->num_slots(); ++slot) {
-      const Replica& r = engine_->replica(slot);
-      if (r.model != m || r.state != Replica::State::kActive) {
-        continue;
-      }
-      ReplicaView view;
-      view.replica_id = r.id;
-      view.queued = r.batcher.size();
-      view.in_flight = r.in_flight.size();
-      view.outstanding_us = engine_->OutstandingUs(r);
-      views.push_back(view);
-      slots.push_back(slot);
-    }
-    if (views.empty()) {
-      NodeMsg msg;
-      msg.kind = NodeMsg::Kind::kOrphan;
-      msg.stamp = nsim_.now();
-      msg.model = request.model;
-      msg.request = std::move(request);
-      Push(std::move(msg));
-      return;
-    }
-    const std::size_t idx = router_.Pick(m, views);
-    request.node = node_id_;
-    request.route_reason =
-        forced.has_value() ? *forced : PickReason(router_.policy(), views.size());
-    engine_->EnqueueAt(slots[idx], std::move(request));
-  }
-
-  void StartResponse(int replica_id, int gpu_global, TimeUs batch_start, TimeUs batch_end,
-                     const Request& request) {
-    const std::size_t idx = response_ops_.size();
-    response_ops_.emplace_back();
-    ResponseOp& op = response_ops_.back();
-    op.created = nsim_.now();
-    op.request = request;
-    if (attribution_) {
-      op.request.ledger.Advance(nsim_.now(), attribution::Phase::kNetResponse);
-    }
-    op.replica_id = replica_id;
-    op.gpu = gpu_global;
-    op.batch_start = batch_start;
-    op.batch_end = batch_end;
-    // Full StartTransfer: the response leg pays the NIC setup latency, as in
-    // the sequential engine.
-    op.transfer = fabric_->StartTransfer(0, interconnect::kHostNode, spec_.response_bytes,
-                                         [this, idx] { OnResponseStreamed(idx); });
-  }
-
-  void OnResponseStreamed(std::size_t idx) {
-    ResponseOp& op = response_ops_[idx];
-    if (op.cancelled) {
-      return;
-    }
-    op.completed = true;
-    NodeMsg msg;
-    msg.kind = NodeMsg::Kind::kResponseDone;
-    msg.stamp = nsim_.now();
-    msg.model = op.request.model;
-    msg.request = std::move(op.request);
-    msg.replica_id = op.replica_id;
-    msg.gpu = op.gpu;
-    msg.t0 = op.batch_start;
-    msg.t1 = op.batch_end;
-    Push(std::move(msg));
-  }
-
-  // Diff-scan every slot against the last pushed snapshot and emit kMirror
-  // deltas; called after every event or wire application so the cluster's
-  // mirror tracks the node at event granularity.
-  void MirrorScan() {
-    const int n = engine_->num_slots();
-    ORION_CHECK(static_cast<std::size_t>(n) == last_.size());
-    for (int slot = 0; slot < n; ++slot) {
-      const MirrorReplica cur = Snapshot(engine_->replica(slot));
-      MirrorReplica& prev = last_[static_cast<std::size_t>(slot)];
-      if (cur.state != prev.state || cur.busy != prev.busy ||
-          cur.busy_until != prev.busy_until || cur.queued != prev.queued ||
-          cur.in_flight != prev.in_flight) {
-        prev = cur;
-        NodeMsg msg;
-        msg.kind = NodeMsg::Kind::kMirror;
-        msg.stamp = nsim_.now();
-        msg.slot = slot;
-        msg.mirror = cur;
-        Push(std::move(msg));
-      }
-    }
-  }
-
-  void Push(NodeMsg msg) {
-    out_ledger_.Record(msg.stamp);
-    while (!outbox_.TryPush(std::move(msg))) {
-      std::this_thread::yield();
-    }
-  }
-
-  void PruneOutLedger() {
-    out_ledger_.Prune(clocks_.out_acked.load(std::memory_order_acquire));
-  }
-
-  // send_lb then in_acked, both release: see LpClockBlock.
-  void PublishClocks() {
-    TimeUs lb = nsim_.NextEventTime();
-    if (!staged_.empty()) {
-      lb = std::min(lb, staged_.begin()->first.first);
-    }
-    lb = std::min(lb, out_ledger_.MinUnackedStamp());
-    clocks_.send_lb.Store(lb);
-    clocks_.in_acked.store(inbox_.Popped(), std::memory_order_release);
-  }
-
-  // A wire (request/state) whose payload is streaming on this node's NIC.
-  struct AppliedWire {
-    interconnect::TransferId transfer = 0;
-    bool cancelled = false;
-    bool is_state = false;
-    Request request;
-    std::optional<RouteReason> forced;
-  };
-
-  const int node_id_;
-  const ClusterSpec spec_;
-  const ClusterTopology topo_;
-  const serving::BatchingConfig batching_;
-  const std::size_t gpu_memory_bytes_;
-  const bool attribution_;
-  const TimeUs horizon_;
-  std::vector<ModelCopy> models_;
-  serving::Router router_;
-  NodeHost* const cluster_host_;
-  const std::vector<TimeUs>* const statics_;
-  const std::atomic<std::size_t>* const released_;
-
-  Simulator nsim_;
-  NodeEngine* engine_ = nullptr;
-  interconnect::Fabric* fabric_ = nullptr;
-
-  LpClockBlock clocks_;
-  sim::SpscQueue<WireMsg> inbox_;    // cluster -> node
-  sim::SpscQueue<NodeMsg> outbox_;   // node -> cluster
-  sim::EdgeLedger out_ledger_;       // stamps of un-acked outbox pushes
-
-  // Wires drained but not yet applied, ordered (stamp, arrival seq).
-  std::map<std::pair<TimeUs, std::uint64_t>, WireMsg> staged_;
-  std::uint64_t stage_seq_ = 0;
-
-  std::map<std::uint64_t, AppliedWire> applied_;  // streaming on the NIC
-  std::set<std::uint64_t> tombstones_;            // wires owned by a fault replay
-  std::deque<ResponseOp> response_ops_;
-  std::vector<MirrorReplica> last_;  // diff-scan baseline, slot-indexed
-
-  // True while the cluster thread drives this LP synchronously (setup and
-  // static rendezvous); writes/reads are ordered by the park/release
-  // handshake, so a plain bool is race-free.
-  bool direct_ = true;
-  bool parked_ = false;
-  bool finished_ = false;
-  std::size_t k_ = 0;  // statics completed (index of the next park target)
-
-  // Park lock: serializes the parked keep-alive publish against the
-  // cluster's direct-mode window (see Lock()/Poll()).
-  std::atomic_flag lock_ = ATOMIC_FLAG_INIT;
 };
 
 class ClusterEngine : public NodeHost {
@@ -732,79 +106,25 @@ class ClusterEngine : public NodeHost {
     }
     rr_node_cursor_.assign(config_.models.size(), 0);
 
-    // Parallel LP partitioning: decide eligibility up front (DESIGN.md §16).
-    // The replica-level round-robin router keeps mutable per-pick state the
-    // cluster and nodes would both need, so it stays sequential; the tracer's
-    // track registry is order-sensitive; zero lookahead admits no
-    // conservative horizon at all.
-    lp_threads_ = cluster_config.lp_threads;
-    lookahead_ = spec_.nic_latency_us;
-    for (const auto& model : models_) {
-      lookahead_ = std::min(lookahead_, model->cost.ProvisionUs());
-    }
-    const bool tracing = config_.telemetry != nullptr && config_.telemetry->tracing();
-    parallel_ = lp_threads_ > 1 && NetworkOn() &&
-                config_.policy != serving::RoutePolicy::kRoundRobin && !tracing &&
-                lookahead_ > 0.0;
-    if (parallel_) {
-      statics_ = BuildStaticTimes(config_.fault_plan, config_.autoscaler, horizon_);
-      mirror_.resize(static_cast<std::size_t>(spec_.num_nodes));
-      wire_ledgers_.resize(static_cast<std::size_t>(spec_.num_nodes));
-      cstage_seq_.assign(static_cast<std::size_t>(spec_.num_nodes), 0);
-      for (int n = 0; n < spec_.num_nodes; ++n) {
-        std::vector<NodeLp::ModelCopy> copies;
-        copies.reserve(models_.size());
-        for (const auto& model : models_) {
-          copies.push_back(NodeLp::ModelCopy{
-              model->cfg, model->cost,
-              model->llm_cost != nullptr
-                  ? std::make_unique<serving::LlmCostModel>(*model->llm_cost)
-                  : nullptr});
-        }
-        lps_.push_back(std::make_unique<NodeLp>(n, spec_, config_, horizon_, this,
-                                                &statics_, &released_,
-                                                std::move(copies)));
-      }
-    }
-
     for (int n = 0; n < spec_.num_nodes; ++n) {
-      nodes_.emplace_back(n, spec_.gpus_per_node,
-                          parallel_ ? static_cast<NodeHost*>(lps_[static_cast<std::size_t>(n)].get())
-                                    : static_cast<NodeHost*>(this));
-      if (parallel_) {
-        lps_[static_cast<std::size_t>(n)]->set_engine(&nodes_.back());
-      }
+      nodes_.emplace_back(n, spec_.gpus_per_node, this);
     }
     if (NetworkOn()) {
       // One fabric per NIC rather than one over the whole star. The star has
       // no shared links (every route is the single host<->node NIC hop), so
-      // splitting is model-identical — and it makes each node's network state
-      // self-contained, which is what lets the parallel LP runtime hand a
-      // node its own fabric. Endpoint 0 of each mini-topology is the node;
-      // interconnect::kHostNode is the ToR side.
+      // splitting is model-identical. Endpoint 0 of each mini-topology is the
+      // node; interconnect::kHostNode is the ToR side.
       for (int n = 0; n < spec_.num_nodes; ++n) {
         fabrics_.push_back(std::make_unique<interconnect::Fabric>(
-            parallel_ ? &lps_[static_cast<std::size_t>(n)]->nsim() : &sim_,
-            interconnect::NodeTopology::NicStar(1, spec_.nic_gbps,
-                                                spec_.nic_latency_us)));
-        if (parallel_) {
-          lps_[static_cast<std::size_t>(n)]->set_fabric(fabrics_.back().get());
-        }
+            &sim_, interconnect::NodeTopology::NicStar(1, spec_.nic_gbps,
+                                                       spec_.nic_latency_us)));
       }
     }
     BindTelemetry();
-    if (config_.telemetry != nullptr && !parallel_) {
-      // Parallel runs leave the fabrics detached from the hub: their
-      // transfers start on node clocks, where counter bumps would race. The
-      // cluster Incs the same instruments itself at wire-send time instead
-      // (fabric_started_c_ / fabric_bytes_c_), which is count-identical.
+    if (config_.telemetry != nullptr) {
       for (auto& fabric : fabrics_) {
         fabric->set_telemetry(config_.telemetry);
       }
-    }
-    if (parallel_ && hub_ != nullptr) {
-      fabric_started_c_ = metrics_->GetCounter("fabric.transfers_started");
-      fabric_bytes_c_ = metrics_->GetCounter("fabric.bytes_requested");
     }
   }
 
@@ -820,11 +140,8 @@ class ClusterEngine : public NodeHost {
     if (config_.autoscaler.enabled) {
       sim_.ScheduleAfter(config_.autoscaler.eval_period_us, [this] { EvalAutoscaler(); });
     }
-    if (!parallel_) {
-      sim_.RunUntil(horizon_);
-      return Finalize();
-    }
-    return RunParallel();
+    sim_.RunUntil(horizon_);
+    return Finalize();
   }
 
   // --- NodeHost. ---
@@ -1034,8 +351,6 @@ class ClusterEngine : public NodeHost {
     int gpu = -1;                               // kResponse: global GPU of server
     TimeUs batch_start = 0.0;                   // kResponse
     TimeUs batch_end = 0.0;                     // kResponse
-    TimeUs started = 0.0;  // send time (parallel: node-death replay ordering)
-    TimeUs stamp = 0.0;    // parallel: virtual arrival time at the node
   };
 
   bool NetworkOn() const { return spec_.num_nodes > 1 && spec_.model_network; }
@@ -1235,58 +550,26 @@ class ClusterEngine : public NodeHost {
     Mark("drop", {{"service", model.label}});
   }
 
-  // The cluster's copy of each node's routing-visible state, kept current by
-  // kMirror deltas between rendezvous and a full resync at each one.
-  struct MirrorNode {
-    bool alive = true;
-    std::vector<MirrorReplica> slots;       // node-local slot -> state
-    std::vector<int> slot_model;            // slot -> model (-1 = never used)
-    std::vector<int> slot_id;               // slot -> global replica id
-    std::vector<int> slot_gpu;              // slot -> local gpu
-    std::vector<std::vector<int>> shard_slots;  // gpu -> resident slots
-  };
-
   int PendingReplicas(std::size_t m) const {
-    const bool use_mirror = parallel_ && !at_rendezvous_;
     int pending = 0;
     for (const int id : models_[m]->replicas) {
-      const Replica::State state =
-          use_mirror ? MirrorOf(id).state : replica(id).state;
-      if (state == Replica::State::kProvisioning) {
+      if (replica(id).state == Replica::State::kProvisioning) {
         ++pending;
       }
     }
     return pending;
   }
 
-  // The cluster-side mirror entry for a global replica id (parallel only).
-  const MirrorReplica& MirrorOf(int id) const {
-    const ReplicaRef& ref = directory_[static_cast<std::size_t>(id)];
-    return mirror_[static_cast<std::size_t>(ref.node)]
-        .slots[static_cast<std::size_t>(ref.slot)];
-  }
-
   // Level-1 routing: the node to send an admitted request of `m` to, or -1
   // when no node has an active replica. Least-outstanding compares each
   // node's best replica; ties break towards the lowest node id.
   int PickNode(std::size_t m) {
-    const bool use_mirror = parallel_ && !at_rendezvous_;
     std::vector<double> node_best(static_cast<std::size_t>(spec_.num_nodes),
                                   std::numeric_limits<double>::infinity());
     std::vector<bool> has(static_cast<std::size_t>(spec_.num_nodes), false);
     for (const int id : models_[m]->replicas) {
       const ReplicaRef& ref = directory_[static_cast<std::size_t>(id)];
       const auto n = static_cast<std::size_t>(ref.node);
-      if (use_mirror) {
-        const MirrorNode& node = mirror_[n];
-        const MirrorReplica& r = node.slots[static_cast<std::size_t>(ref.slot)];
-        if (r.state != Replica::State::kActive || !node.alive) {
-          continue;
-        }
-        has[n] = true;
-        node_best[n] = std::min(node_best[n], MirrorOutstandingUs(node, ref.slot));
-        continue;
-      }
       const NodeEngine& node = nodes_[n];
       const Replica& r = node.replica(ref.slot);
       if (r.state != Replica::State::kActive || !node.alive()) {
@@ -1326,27 +609,6 @@ class ClusterEngine : public NodeHost {
                       std::vector<int>* slots) {
     views->clear();
     slots->clear();
-    if (parallel_ && !at_rendezvous_) {
-      const MirrorNode& engine = mirror_[static_cast<std::size_t>(node)];
-      for (const int id : models_[m]->replicas) {
-        const ReplicaRef& ref = directory_[static_cast<std::size_t>(id)];
-        if (ref.node != node) {
-          continue;
-        }
-        const MirrorReplica& r = engine.slots[static_cast<std::size_t>(ref.slot)];
-        if (r.state != Replica::State::kActive) {
-          continue;
-        }
-        ReplicaView view;
-        view.replica_id = id;
-        view.queued = r.queued;
-        view.in_flight = r.in_flight;
-        view.outstanding_us = MirrorOutstandingUs(engine, ref.slot);
-        views->push_back(view);
-        slots->push_back(ref.slot);
-      }
-      return;
-    }
     NodeEngine& engine = nodes_[static_cast<std::size_t>(node)];
     for (const int id : models_[m]->replicas) {
       const ReplicaRef& ref = directory_[static_cast<std::size_t>(id)];
@@ -1365,74 +627,6 @@ class ClusterEngine : public NodeHost {
       views->push_back(view);
       slots->push_back(ref.slot);
     }
-  }
-
-  // --- Mirror-based load prediction (parallel, between rendezvous). ---
-  //
-  // These duplicate NodeEngine::OutstandingUs / Slowdown term for term over
-  // the mirrored slot state, so the FP results are bit-identical to what the
-  // sequential engine computes against live replicas.
-
-  DurationUs MirrorOutstandingUs(const MirrorNode& node, int slot) const {
-    const MirrorReplica& r = node.slots[static_cast<std::size_t>(slot)];
-    const auto m = static_cast<std::size_t>(node.slot_model[static_cast<std::size_t>(slot)]);
-    const serving::BatchingConfig& batching = config_.batching;
-    const TimeUs now = sim_.now();
-    DurationUs work = r.busy ? std::max(0.0, r.busy_until - now) : 0.0;
-    const std::size_t queued = r.queued;
-    if (queued == 0) {
-      return work;
-    }
-    const int max_batch = batching.enabled ? batching.max_batch_size : 1;
-    const ModelState& model = *models_[m];
-    if (model.llm_cost != nullptr) {
-      const serving::LlmCostModel& cost = *model.llm_cost;
-      const serving::LlmServiceConfig& llm = model.cfg.llm;
-      const double slowdown = MirrorSlowdown(node, slot);
-      if (llm.continuous) {
-        const std::size_t rounds = queued / static_cast<std::size_t>(max_batch);
-        work += static_cast<double>(rounds) * cost.TypicalStepUs(max_batch) * slowdown;
-        work += cost.PrefillUs(llm.prompt_tokens) * slowdown;
-      } else {
-        const int est = std::min<int>(max_batch, static_cast<int>(queued));
-        const int mean_target = (llm.min_decode_tokens + llm.max_decode_tokens) / 2;
-        const DurationUs batch_us =
-            static_cast<double>(est) * cost.PrefillUs(llm.prompt_tokens) +
-            static_cast<double>(mean_target) * cost.TypicalStepUs(est);
-        const std::size_t batches =
-            (queued + static_cast<std::size_t>(max_batch) - 1) /
-            static_cast<std::size_t>(max_batch);
-        work += static_cast<double>(batches) * batch_us * slowdown;
-      }
-      return work;
-    }
-    const serving::BatchCostModel& cost = model.cost;
-    const int batch = std::min<int>(max_batch, static_cast<int>(queued));
-    work += static_cast<double>(queued) * cost.PerRequestUs(batch) * MirrorSlowdown(node, slot);
-    return work;
-  }
-
-  double MirrorSlowdown(const MirrorNode& node, int slot) const {
-    const auto m = static_cast<std::size_t>(node.slot_model[static_cast<std::size_t>(slot)]);
-    double pressure = 0.0;
-    const int gpu = node.slot_gpu[static_cast<std::size_t>(slot)];
-    for (const int other_slot : node.shard_slots[static_cast<std::size_t>(gpu)]) {
-      // Slots are append-only and never reused, so slot equality is replica
-      // identity.
-      if (other_slot == slot) {
-        continue;
-      }
-      const MirrorReplica& other = node.slots[static_cast<std::size_t>(other_slot)];
-      if (other.state != Replica::State::kActive &&
-          other.state != Replica::State::kDraining) {
-        continue;
-      }
-      const auto om =
-          static_cast<std::size_t>(node.slot_model[static_cast<std::size_t>(other_slot)]);
-      pressure += cluster::PairInterference(models_[m]->cost.signature(),
-                                            models_[om]->cost.signature());
-    }
-    return serving::InterferenceSlowdown(models_[m]->cfg.tier, pressure);
   }
 
   // Level-2 routing: pick the replica on `node` and hand the request to the
@@ -1462,42 +656,6 @@ class ClusterEngine : public NodeHost {
     const std::uint64_t op_id = next_op_id_++;
     auto [it, inserted] = net_ops_.emplace(op_id, std::move(op));
     ORION_CHECK(inserted);
-    if (parallel_) {
-      // Only host -> node legs originate at the cluster; responses start on
-      // the node LPs. The setup phase of the transfer is the lookahead: the
-      // wire lands at the node `nic_latency_us` in its future and streams
-      // there (StartTransferNoSetup), which reproduces the sequential
-      // single-clock transfer timeline exactly.
-      ORION_CHECK(src == interconnect::kHostNode);
-      NetOp& net = it->second;
-      net.started = sim_.now();
-      net.stamp = sim_.now() + spec_.nic_latency_us;
-      if (fabric_started_c_ != nullptr) {
-        // The fabric is detached from the hub in parallel runs; count the
-        // transfer start cluster-side instead (see the constructor).
-        fabric_started_c_->Inc();
-        fabric_bytes_c_->Inc(static_cast<double>(bytes));
-      }
-      if (net.stamp <= horizon_) {
-        WireMsg msg;
-        msg.kind = net.kind == NetOp::Kind::kState ? WireMsg::Kind::kState
-                                                   : WireMsg::Kind::kRequest;
-        msg.stamp = net.stamp;
-        msg.op_id = op_id;
-        msg.bytes = bytes;
-        if (net.kind == NetOp::Kind::kState) {
-          msg.slot = directory_[static_cast<std::size_t>(net.replica_id)].slot;
-        } else {
-          msg.request = net.request;  // the NetOp keeps the replay copy
-          msg.forced = net.forced;
-        }
-        PushWire(dst, std::move(msg));
-      }
-      // A wire stamped past the horizon never lands: the sequential run would
-      // leave the transfer unfinished, and so does the op entry — it stays in
-      // net_ops_ and counts as left-in-system at Finalize.
-      return;
-    }
     // Transfers run on the target node's NIC fabric; endpoint 0 of the
     // mini-topology is the node, kHostNode the ToR/front-end side.
     const int node = src == interconnect::kHostNode ? dst : src;
@@ -1505,22 +663,6 @@ class ClusterEngine : public NodeHost {
     const int fab_dst = dst == interconnect::kHostNode ? interconnect::kHostNode : 0;
     it->second.transfer = fabrics_[static_cast<std::size_t>(node)]->StartTransfer(
         fab_src, fab_dst, bytes, [this, op_id] { OnNetOpDone(op_id); });
-  }
-
-  // Hands a wire to a node LP. At rendezvous the node is parked, so the
-  // message stages directly (its stamp is strictly in the node's future);
-  // between rendezvous it crosses the SPSC queue, recorded in the edge
-  // ledger first so the published wire bound covers it until acked.
-  void PushWire(int node, WireMsg msg) {
-    const auto n = static_cast<std::size_t>(node);
-    if (at_rendezvous_) {
-      lps_[n]->StageDirect(std::move(msg));
-      return;
-    }
-    wire_ledgers_[n].Record(msg.stamp);
-    while (!lps_[n]->inbox().TryPush(std::move(msg))) {
-      std::this_thread::yield();
-    }
   }
 
   void ForwardRequest(int node, Request request, std::optional<RouteReason> forced) {
@@ -1887,19 +1029,15 @@ class ClusterEngine : public NodeHost {
       interconnect::Fabric& fabric = *fabrics_[static_cast<std::size_t>(n)];
       fabric.SetLinkFactor(/*link=*/0, /*forward=*/true, 0.0);
       fabric.SetLinkFactor(/*link=*/0, /*forward=*/false, 0.0);
-      if (parallel_) {
-        ParallelNodeDownSweep(n);
-      } else {
-        std::vector<std::uint64_t> doomed;
-        for (auto& [op_id, op] : net_ops_) {
-          if (op.node == n && !op.cancelled) {
-            op.cancelled = true;
-            doomed.push_back(op_id);
-          }
+      std::vector<std::uint64_t> doomed;
+      for (auto& [op_id, op] : net_ops_) {
+        if (op.node == n && !op.cancelled) {
+          op.cancelled = true;
+          doomed.push_back(op_id);
         }
-        for (const std::uint64_t op_id : doomed) {
-          fabric.CancelTransfer(net_ops_.at(op_id).transfer);
-        }
+      }
+      for (const std::uint64_t op_id : doomed) {
+        fabric.CancelTransfer(net_ops_.at(op_id).transfer);
       }
     }
     for (int local = 0; local < node.num_gpus(); ++local) {
@@ -2150,509 +1288,6 @@ class ClusterEngine : public NodeHost {
     return cluster;
   }
 
-  // --- Parallel run loop (parallel_ only; DESIGN.md §16). ---
-
-  // Drives the cluster LP on the calling thread while worker threads poll the
-  // node LPs. Phases are delimited by the static rendezvous times: within a
-  // phase every LP merges its own events with staged inter-LP messages under
-  // the conservative bounds; at each static the fleet parks, the cluster runs
-  // the control-plane events (faults, autoscaler) against exact node state
-  // with the unchanged sequential code, resyncs the mirror, and releases.
-  ClusterResult RunParallel() {
-    ResyncMirror();
-    for (auto& lp : lps_) {
-      lp->SetDirect(false);
-    }
-    at_rendezvous_ = false;
-    const int workers =
-        std::max(1, std::min(lp_threads_ - 1, spec_.num_nodes));
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(workers));
-    for (int w = 0; w < workers; ++w) {
-      threads.emplace_back([this, w, workers] {
-        while (true) {
-          bool progress = false;
-          bool all_finished = true;
-          for (int n = w; n < spec_.num_nodes; n += workers) {
-            NodeLp& lp = *lps_[static_cast<std::size_t>(n)];
-            progress = lp.Poll() || progress;
-            all_finished = all_finished && lp.finished();
-          }
-          if (all_finished) {
-            return;
-          }
-          if (!progress) {
-            std::this_thread::yield();
-          }
-        }
-      });
-    }
-
-    for (std::size_t k = 0; k < statics_.size(); ++k) {
-      const TimeUs s = statics_[k];
-      while (true) {
-        bool progress = DrainNodeMsgs();
-        progress = PumpCluster(s) || progress;
-        PublishWireBounds();
-        if (BarrierReady(s)) {
-          break;
-        }
-        if (!progress) {
-          std::this_thread::yield();
-        }
-      }
-      // Rendezvous: every node is parked exactly at `s` with nothing below it
-      // anywhere in the system. Control-plane events at `s` run on the
-      // sequential code paths against direct node state; the park locks keep
-      // the parked keep-alive publishes out for the whole window.
-      for (auto& lp : lps_) {
-        lp->Lock();
-      }
-      for (auto& lp : lps_) {
-        lp->SetDirect(true);
-      }
-      at_rendezvous_ = true;
-      sim_.RunUntil(s);
-      ResyncMirror();
-      at_rendezvous_ = false;
-      for (auto& lp : lps_) {
-        lp->SetDirect(false);
-        // Fold any directly-staged wire into the node's published send_lb
-        // before the fleet resumes (the node's own publication is stale).
-        lp->RepublishClocks();
-        lp->Unlock();
-      }
-      released_.store(k + 1, std::memory_order_release);
-    }
-
-    // Final drain: the last static was the horizon. Nodes burn down their
-    // horizon-stamped remainder; the cluster must NOT apply any of the
-    // resulting messages until every node is done, or the deterministic
-    // (stamp, node, sequence) application order could be violated by a
-    // straggler still pushing. Publishing bounds is enough for the nodes to
-    // finish: with the ledgers pruned, every wire bound sits at
-    // horizon + lookahead, strictly past the horizon.
-    while (true) {
-      bool all_done = true;
-      for (auto& lp : lps_) {
-        all_done = all_done && lp->clocks().done.load(std::memory_order_acquire);
-      }
-      if (all_done) {
-        break;
-      }
-      const bool progress = DrainNodeMsgs();
-      PublishWireBounds();
-      if (!progress) {
-        std::this_thread::yield();
-      }
-    }
-    for (std::thread& t : threads) {
-      t.join();
-    }
-    DrainNodeMsgs();
-    while (!cstaged_.empty()) {
-      const TimeUs st = std::get<0>(cstaged_.begin()->first);
-      ORION_CHECK(st <= horizon_);
-      while (sim_.NextEventTime() < st) {
-        sim_.RunOneBefore(st);
-      }
-      ApplyStagedNodeMsg();
-    }
-    sim_.RunUntil(horizon_);
-    at_rendezvous_ = true;  // Finalize reads node state directly
-    return Finalize();
-  }
-
-  // Stages every queued node message in deterministic order and publishes the
-  // acks with the next PublishWireBounds. Returns whether anything arrived.
-  bool DrainNodeMsgs() {
-    bool any = false;
-    for (int n = 0; n < spec_.num_nodes; ++n) {
-      auto& outbox = lps_[static_cast<std::size_t>(n)]->outbox();
-      NodeMsg msg;
-      while (outbox.TryPop(&msg)) {
-        const TimeUs stamp = msg.stamp;
-        cstaged_.emplace(std::make_tuple(stamp, n, cstage_seq_[static_cast<std::size_t>(n)]++),
-                         std::move(msg));
-        any = true;
-      }
-    }
-    return any;
-  }
-
-  // The lower bound on anything node `n` may still deliver to the cluster.
-  // The node's published clock already folds its own un-acked sends (so
-  // anything sitting un-drained in its outbox is covered); the cluster folds
-  // its own un-acked wires to the node, because an un-acked wire stamped w
-  // can still wake the node at w, below whatever clock the node published.
-  TimeUs NodeBound(int n) const {
-    const auto idx = static_cast<std::size_t>(n);
-    return std::min(lps_[idx]->clocks().send_lb.Load(),
-                    wire_ledgers_[idx].MinUnackedStamp());
-  }
-
-  // Merges staged node messages with the cluster's own events, staged-first
-  // at equal stamps, strictly below min(all node bounds, s). Returns whether
-  // anything ran.
-  bool PumpCluster(TimeUs s) {
-    bool progress = false;
-    while (true) {
-      TimeUs bound = s;
-      for (int n = 0; n < spec_.num_nodes; ++n) {
-        bound = std::min(bound, NodeBound(n));
-      }
-      const TimeUs own = sim_.NextEventTime();
-      const TimeUs st = cstaged_.empty() ? std::numeric_limits<TimeUs>::infinity()
-                                         : std::get<0>(cstaged_.begin()->first);
-      if (st < bound && st < s && st <= own) {
-        ApplyStagedNodeMsg();
-      } else if (own < bound && own < s && own < st) {
-        if (!sim_.RunOneBefore(std::min(bound, s))) {
-          break;
-        }
-      } else {
-        break;
-      }
-      progress = true;
-      DrainNodeMsgs();
-    }
-    return progress;
-  }
-
-  // Prunes the wire ledgers against the nodes' published acks, then publishes
-  // each node's wire bound and the cluster's ack of its outbox pops. Order
-  // per node: clock first, ack second, both release (see src/sim/lp.h).
-  void PublishWireBounds() {
-    TimeUs exec_lb = sim_.NextEventTime();
-    if (!cstaged_.empty()) {
-      exec_lb = std::min(exec_lb, std::get<0>(cstaged_.begin()->first));
-    }
-    for (int n = 0; n < spec_.num_nodes; ++n) {
-      const auto idx = static_cast<std::size_t>(n);
-      wire_ledgers_[idx].Prune(
-          lps_[idx]->clocks().in_acked.load(std::memory_order_acquire));
-      exec_lb = std::min(exec_lb, NodeBound(n));
-    }
-    for (int n = 0; n < spec_.num_nodes; ++n) {
-      const auto idx = static_cast<std::size_t>(n);
-      LpClockBlock& clocks = lps_[idx]->clocks();
-      clocks.wire_lb.Store(
-          std::min(exec_lb + lookahead_, wire_ledgers_[idx].MinUnackedStamp()));
-      clocks.out_acked.store(lps_[idx]->outbox().Popped(), std::memory_order_release);
-    }
-  }
-
-  // All nodes parked at `s`, every queue drained, nothing staged below `s`
-  // anywhere, and the cluster's own frontier at or past `s`.
-  bool BarrierReady(TimeUs s) {
-    for (const auto& lp : lps_) {
-      if (lp->clocks().parked_at.Load() != s) {
-        return false;
-      }
-    }
-    DrainNodeMsgs();  // post-park leftovers, visible after the acquiring reads
-    for (const auto& lp : lps_) {
-      if (!lp->outbox().Empty()) {
-        return false;
-      }
-    }
-    if (!cstaged_.empty() && std::get<0>(cstaged_.begin()->first) < s) {
-      return false;
-    }
-    return sim_.NextEventTime() >= s;
-  }
-
-  // Applies the front staged node message at its stamp, on the cluster clock.
-  void ApplyStagedNodeMsg() {
-    auto it = cstaged_.begin();
-    const auto [st, n, seq] = it->first;
-    NodeMsg msg = std::move(it->second);
-    cstaged_.erase(it);
-    sim_.AdvanceClockTo(st);
-    ApplyNodeMsg(n, std::move(msg));
-  }
-
-  void ApplyNodeMsg(int n, NodeMsg msg) {
-    const auto idx = static_cast<std::size_t>(n);
-    switch (msg.kind) {
-      case NodeMsg::Kind::kMirror: {
-        MirrorNode& node = mirror_[idx];
-        const auto slot = static_cast<std::size_t>(msg.slot);
-        const bool was_dead = node.slots[slot].state == Replica::State::kDead;
-        node.slots[slot] = msg.mirror;
-        if (!was_dead && msg.mirror.state == Replica::State::kDead) {
-          // Retired mid-phase (drain completed): the slot leaves its GPU
-          // shard, exactly as NodeEngine::ReleaseFromGpu does node-side.
-          auto& shard = node.shard_slots[static_cast<std::size_t>(
-              node.slot_gpu[slot])];
-          shard.erase(std::find(shard.begin(), shard.end(), msg.slot));
-        }
-        break;
-      }
-      case NodeMsg::Kind::kWireDone: {
-        auto it = net_ops_.find(msg.op_id);
-        ORION_CHECK(it != net_ops_.end());
-        ModelState& model = *models_[static_cast<std::size_t>(it->second.request.model)];
-        ORION_CHECK(model.in_network > 0);
-        --model.in_network;
-        net_ops_.erase(it);
-        break;
-      }
-      case NodeMsg::Kind::kStateDone: {
-        auto it = net_ops_.find(msg.op_id);
-        ORION_CHECK(it != net_ops_.end());
-        const int id = it->second.replica_id;
-        net_ops_.erase(it);
-        if (MirrorOf(id).state == Replica::State::kProvisioning) {
-          const ReplicaRef& ref = directory_[static_cast<std::size_t>(id)];
-          const MirrorNode& node = mirror_[static_cast<std::size_t>(ref.node)];
-          const auto m = static_cast<std::size_t>(
-              node.slot_model[static_cast<std::size_t>(ref.slot)]);
-          const TimeUs t_act = sim_.now() + models_[m]->cost.ProvisionUs();
-          sim_.ScheduleAt(t_act, [this, id] { ActivateReplicaParallel(id); });
-          if (t_act <= horizon_) {
-            WireMsg wire;
-            wire.kind = WireMsg::Kind::kActivate;
-            wire.stamp = t_act;
-            wire.slot = ref.slot;
-            PushWire(ref.node, std::move(wire));
-          }
-        }
-        break;
-      }
-      case NodeMsg::Kind::kOrphan: {
-        RehomeOrphan(static_cast<std::size_t>(msg.model), std::move(msg.request),
-                     /*was_running=*/true);
-        break;
-      }
-      case NodeMsg::Kind::kResponsesStarted: {
-        models_[static_cast<std::size_t>(msg.model)]->in_network +=
-            static_cast<std::size_t>(msg.count);
-        if (fabric_started_c_ != nullptr) {
-          fabric_started_c_->Inc(static_cast<double>(msg.count));
-          fabric_bytes_c_->Inc(static_cast<double>(msg.count) *
-                               static_cast<double>(spec_.response_bytes));
-        }
-        break;
-      }
-      case NodeMsg::Kind::kBatchStats: {
-        if (!InWindow(msg.stamp)) {
-          break;
-        }
-        ModelState& model = *models_[static_cast<std::size_t>(msg.model)];
-        model.batches->Inc();
-        model.batched_requests->Inc(static_cast<double>(msg.count));
-        if (model.llm_cost != nullptr) {
-          model.tokens->Inc(msg.llm_tokens);
-          model.prefills->Inc(static_cast<double>(msg.count));
-        }
-        break;
-      }
-      case NodeMsg::Kind::kDecodeStep: {
-        if (!InWindow(msg.stamp)) {
-          break;
-        }
-        ModelState& model = *models_[static_cast<std::size_t>(msg.model)];
-        model.decode_steps->Inc();
-        model.tokens->Inc(static_cast<double>(msg.count));
-        if (msg.prefills > 0) {
-          model.prefills->Inc(static_cast<double>(msg.prefills));
-        }
-        model.batches->Inc();
-        model.batched_requests->Inc(static_cast<double>(msg.count));
-        break;
-      }
-      case NodeMsg::Kind::kKvEvict: {
-        if (InWindow(msg.stamp)) {
-          models_[static_cast<std::size_t>(msg.model)]->kv_evictions->Inc();
-        }
-        break;
-      }
-      case NodeMsg::Kind::kRetire: {
-        AccountReplicaTime(msg.t0);
-        break;
-      }
-      case NodeMsg::Kind::kResponseDone: {
-        ModelState& model = *models_[static_cast<std::size_t>(msg.request.model)];
-        ORION_CHECK(model.in_network > 0);
-        --model.in_network;
-        CompleteRequest(msg.request, msg.replica_id, msg.gpu, msg.t0, msg.t1,
-                        sim_.now());
-        break;
-      }
-    }
-  }
-
-  // Provisioning completes: the cluster-side twin of ActivateReplica. At a
-  // rendezvous the sequential version runs directly; mid-phase the mirror
-  // flips (the node flips its own replica via the kActivate wire at the same
-  // virtual instant) and the limbo queue drains over mirror routing.
-  void ActivateReplicaParallel(int id) {
-    if (at_rendezvous_) {
-      ActivateReplica(id);
-      return;
-    }
-    const ReplicaRef& ref = directory_[static_cast<std::size_t>(id)];
-    MirrorReplica& mr = mirror_[static_cast<std::size_t>(ref.node)]
-                            .slots[static_cast<std::size_t>(ref.slot)];
-    if (mr.state != Replica::State::kProvisioning) {
-      return;  // killed while provisioning
-    }
-    mr.state = Replica::State::kActive;
-    const auto m = static_cast<std::size_t>(
-        mirror_[static_cast<std::size_t>(ref.node)]
-            .slot_model[static_cast<std::size_t>(ref.slot)]);
-    ModelState& model = *models_[m];
-    while (!model.limbo.empty()) {
-      Request request = std::move(model.limbo.front());
-      model.limbo.pop_front();
-      const int node = PickNode(m);
-      ORION_CHECK(node >= 0);  // this replica just activated
-      ForwardRequest(node, std::move(request), RouteReason::kLimboDrain);
-    }
-  }
-
-  // Rebuilds the full mirror from live node state (cluster thread; all nodes
-  // parked or not yet started) and re-arms each node's delta baseline.
-  void ResyncMirror() {
-    for (int n = 0; n < spec_.num_nodes; ++n) {
-      const auto idx = static_cast<std::size_t>(n);
-      MirrorNode& mn = mirror_[idx];
-      const NodeEngine& node = nodes_[idx];
-      mn.alive = node.alive();
-      const int num_slots = node.num_slots();
-      mn.slots.resize(static_cast<std::size_t>(num_slots));
-      mn.slot_model.resize(static_cast<std::size_t>(num_slots));
-      mn.slot_id.resize(static_cast<std::size_t>(num_slots));
-      mn.slot_gpu.resize(static_cast<std::size_t>(num_slots));
-      for (int slot = 0; slot < num_slots; ++slot) {
-        const Replica& r = node.replica(slot);
-        const auto i = static_cast<std::size_t>(slot);
-        mn.slots[i].state = r.state;
-        mn.slots[i].busy = r.busy;
-        mn.slots[i].busy_until = r.busy_until;
-        mn.slots[i].queued = r.batcher.size();
-        mn.slots[i].in_flight = r.in_flight.size();
-        mn.slot_model[i] = static_cast<int>(r.model);
-        mn.slot_id[i] = r.id;
-        mn.slot_gpu[i] = r.gpu;
-      }
-      mn.shard_slots.resize(static_cast<std::size_t>(node.num_gpus()));
-      for (int g = 0; g < node.num_gpus(); ++g) {
-        mn.shard_slots[static_cast<std::size_t>(g)] = node.gpu(g).replicas;
-      }
-      lps_[idx]->RefreshBaseline();
-    }
-  }
-
-  // The parallel twin of the sequential doomed-transfer sweep in
-  // ApplyNodeDown: cancels every leg touching the dead node and replays the
-  // abort callbacks the single-clock run would have produced, in creation
-  // order, at the exact times fabric cancellation semantics dictate (in-setup
-  // legs complete at setup end, streaming legs at the cancel instant).
-  void ParallelNodeDownSweep(int n) {
-    const TimeUs t_f = sim_.now();
-    NodeLp& lp = *lps_[static_cast<std::size_t>(n)];
-    struct Doomed {
-      TimeUs created = 0.0;
-      int src = 0;  // 0 = cluster-side NetOp, 1 = node-side response
-      std::uint64_t op_id = 0;
-      std::size_t ridx = 0;
-    };
-    std::vector<Doomed> doomed;
-    for (auto& [op_id, op] : net_ops_) {
-      if (op.node == n && !op.cancelled) {
-        op.cancelled = true;
-        doomed.push_back({op.started, 0, op_id, 0});
-      }
-    }
-    for (std::size_t i = 0; i < lp.response_ops().size(); ++i) {
-      const NodeLp::ResponseOp& rop = lp.response_ops()[i];
-      if (!rop.cancelled && !rop.completed) {
-        doomed.push_back({rop.created, 1, 0, i});
-      }
-    }
-    // Creation order == the sequential sweep's op-id order (all legs lived in
-    // one table there); stable for the measure-zero equal-time case.
-    std::stable_sort(doomed.begin(), doomed.end(),
-                     [](const Doomed& a, const Doomed& b) {
-                       return a.created < b.created ||
-                              (a.created == b.created && a.src < b.src);
-                     });
-    for (const Doomed& d : doomed) {
-      if (d.src == 0) {
-        NetOp& op = net_ops_.at(d.op_id);
-        const std::uint64_t op_id = d.op_id;
-        const bool applied = lp.HasAppliedWire(op_id);
-        if (op.kind == NetOp::Kind::kState) {
-          // The abort callback only erased the op; timing is unobservable.
-          if (applied) {
-            lp.CancelAppliedWire(op_id);
-          } else {
-            lp.Tombstone(op_id);
-          }
-          net_ops_.erase(op_id);
-          continue;
-        }
-        ORION_CHECK(op.kind == NetOp::Kind::kRequest);
-        if (applied) {
-          // Streaming on the node NIC: the abort fires at the cancel instant.
-          lp.CancelAppliedWire(op_id);
-          sim_.ScheduleAfter(0.0, [this, op_id] { FinishCancelledRequest(op_id); });
-        } else {
-          // Still in "setup" (on the wire toward the node, stamp >= t_f): the
-          // abort fires when the setup would have ended. Past the horizon it
-          // never fires, leaving the op in-system — as sequentially.
-          lp.Tombstone(op_id);
-          sim_.ScheduleAt(op.stamp, [this, op_id] { FinishCancelledRequest(op_id); });
-        }
-      } else {
-        const NodeLp::CancelledResponse effect =
-            lp.CancelResponse(d.ridx, t_f, spec_.nic_latency_us);
-        const std::uint64_t op_id = next_op_id_++;
-        NetOp op;
-        op.kind = NetOp::Kind::kResponse;
-        op.cancelled = true;
-        op.node = n;
-        op.request = std::move(effect.request);
-        op.replica_id = effect.replica_id;
-        op.gpu = effect.gpu;
-        op.batch_start = effect.batch_start;
-        op.batch_end = effect.batch_end;
-        net_ops_.emplace(op_id, std::move(op));
-        if (effect.when == t_f) {
-          sim_.ScheduleAfter(0.0, [this, op_id] { FinishCancelledResponse(op_id); });
-        } else {
-          sim_.ScheduleAt(effect.when, [this, op_id] { FinishCancelledResponse(op_id); });
-        }
-      }
-    }
-  }
-
-  void FinishCancelledRequest(std::uint64_t op_id) {
-    auto it = net_ops_.find(op_id);
-    ORION_CHECK(it != net_ops_.end());
-    NetOp op = std::move(it->second);
-    net_ops_.erase(it);
-    ModelState& model = *models_[static_cast<std::size_t>(op.request.model)];
-    ORION_CHECK(model.in_network > 0);
-    --model.in_network;
-    RehomeOrphan(static_cast<std::size_t>(op.request.model), std::move(op.request),
-                 /*was_running=*/true);
-  }
-
-  void FinishCancelledResponse(std::uint64_t op_id) {
-    auto it = net_ops_.find(op_id);
-    ORION_CHECK(it != net_ops_.end());
-    NetOp op = std::move(it->second);
-    net_ops_.erase(it);
-    ModelState& model = *models_[static_cast<std::size_t>(op.request.model)];
-    ORION_CHECK(model.in_network > 0);
-    --model.in_network;
-    CompleteRequest(op.request, op.replica_id, op.gpu, op.batch_start, op.batch_end,
-                    sim_.now());
-  }
-
   serving::ServingConfig config_;
   ClusterSpec spec_;
   ClusterTopology topo_;
@@ -2664,8 +1299,7 @@ class ClusterEngine : public NodeHost {
   std::deque<NodeEngine> nodes_;
   // One fabric per node NIC (empty when the network is off). Single-hop star
   // routes never share links, so per-NIC fabrics are model-identical to one
-  // fabric over the whole star — and each node's network state stays
-  // self-contained for the parallel LP partitioning.
+  // fabric over the whole star.
   std::vector<std::unique_ptr<interconnect::Fabric>> fabrics_;
   std::vector<std::unique_ptr<ModelState>> models_;
   std::vector<ReplicaRef> directory_;  // global replica id -> (node, slot)
@@ -2698,35 +1332,6 @@ class ClusterEngine : public NodeHost {
   telemetry::Counter* replica_seconds_ = nullptr;  // replica-seconds accrue monotonically
   telemetry::Counter* node_faults_c_ = nullptr;           // num_nodes > 1 only
   telemetry::Counter* requests_forwarded_c_ = nullptr;    // num_nodes > 1 only
-
-  // --- Parallel LP runtime (engaged when parallel_; DESIGN.md §16). ---
-
-  bool parallel_ = false;
-  int lp_threads_ = 1;
-  DurationUs lookahead_ = 0.0;  // min latency of any cluster -> node effect
-  // True whenever the cluster thread is driving node state synchronously:
-  // setup, static rendezvous, finalize. The sequential control code then runs
-  // unchanged against direct node reads, and wire sends stage directly.
-  bool at_rendezvous_ = true;
-  std::vector<TimeUs> statics_;            // BuildStaticTimes schedule
-  std::atomic<std::size_t> released_{0};   // statics completed fleet-wide
-  std::vector<std::unique_ptr<NodeLp>> lps_;
-  std::vector<sim::EdgeLedger> wire_ledgers_;  // per node: un-acked wire stamps
-
-  // The cluster's copy of each node's routing-visible state (MirrorNode,
-  // defined above with the dispatch helpers that read it).
-  std::vector<MirrorNode> mirror_;
-
-  // Node messages drained but not yet applied, in deterministic
-  // (stamp, node, per-node arrival sequence) order.
-  std::map<std::tuple<TimeUs, int, std::uint64_t>, NodeMsg> cstaged_;
-  std::vector<std::uint64_t> cstage_seq_;
-
-  // Parallel runs detach the per-node fabrics from the hub (their transfers
-  // run on node clocks), so the cluster counts wire-level fabric activity
-  // itself through these, bound to the exact instruments Fabric would use.
-  telemetry::Counter* fabric_started_c_ = nullptr;
-  telemetry::Counter* fabric_bytes_c_ = nullptr;
 };
 
 // Bitwise double equality: distinguishes -0.0 from 0.0 and NaN payloads,
@@ -2813,21 +1418,6 @@ bool ClusterResultsBitIdentical(const ClusterResult& a, const ClusterResult& b) 
 }
 
 ClusterResult RunCluster(const ClusterConfig& config) {
-  if (config.lp_threads > 1 && config.lp_oracle) {
-    // Debug mode: run the sequential engine on an identical config (minus
-    // telemetry, which the oracle copy must not double-count into the
-    // caller's hub) and insist the parallel result matches bit for bit.
-    ClusterConfig sequential = config;
-    sequential.lp_threads = 1;
-    sequential.lp_oracle = false;
-    sequential.serving.telemetry = nullptr;
-    const ClusterResult expect = RunCluster(sequential);
-    ClusterEngine engine(config);
-    ClusterResult got = engine.Run();
-    ORION_CHECK_MSG(ClusterResultsBitIdentical(got, expect),
-                    "lp_oracle: parallel run diverged from the sequential oracle");
-    return got;
-  }
   ClusterEngine engine(config);
   return engine.Run();
 }

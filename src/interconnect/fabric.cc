@@ -111,35 +111,6 @@ TransferId Fabric::StartTransfer(int src, int dst, std::size_t bytes, Callback d
   return id;
 }
 
-TransferId Fabric::StartTransferNoSetup(int src, int dst, std::size_t bytes,
-                                        Callback done) {
-  const TransferId id = next_seq_++;
-  const std::uint32_t slot = AllocTransferSlot();
-  Transfer& transfer = slab_[slot];
-  transfer.id = id;
-  transfer.route = topology_.Route(src, dst);
-  transfer.remaining = static_cast<double>(bytes);
-  transfer.rate = 0.0;
-  transfer.done = std::move(done);
-  if (transfers_started_metric_ != nullptr) {
-    transfers_started_metric_->Inc();
-    bytes_requested_metric_->Inc(static_cast<double>(bytes));
-  }
-  if (trace_track_ >= 0) {
-    const std::string span_name = NodeName(src) + "->" + NodeName(dst);
-    hub_->spans().AsyncBegin(trace_track_, id, span_name, sim_->now(),
-                             {{"bytes", std::to_string(bytes)}});
-    transfer.done = [this, id, span_name, done = std::move(transfer.done)]() {
-      hub_->spans().AsyncEnd(trace_track_, id, span_name, sim_->now());
-      if (done) {
-        done();
-      }
-    };
-  }
-  Activate(slot);
-  return id;
-}
-
 void Fabric::FinishSetup(std::uint32_t slot) {
   setup_.erase(std::find(setup_.begin(), setup_.end(), slot));
   Transfer& transfer = slab_[slot];

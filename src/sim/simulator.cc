@@ -186,34 +186,6 @@ bool Simulator::Step(TimeUs until) {
   return true;
 }
 
-TimeUs Simulator::NextEventTime() {
-  const bool have_ring = RingFront();
-  if (!have_ring && heap_.empty()) {
-    return std::numeric_limits<TimeUs>::infinity();
-  }
-  // Ring entries sit at exactly now_; anything in the heap is >= now_, so
-  // the ring (when present) is never later than the heap top.
-  if (have_ring) {
-    return pool_[ring_[ring_head_].slot].when;
-  }
-  return heap_[0].when;
-}
-
-bool Simulator::RunOneBefore(TimeUs bound) {
-  if (!(NextEventTime() < bound)) {
-    return false;
-  }
-  return Step(std::numeric_limits<TimeUs>::max());
-}
-
-void Simulator::AdvanceClockTo(TimeUs t) {
-  ORION_CHECK_MSG(t >= now_, "clock moved backwards: " << t << " < " << now_);
-  ORION_CHECK_MSG(NextEventTime() >= t,
-                  "AdvanceClockTo(" << t << ") would skip an event at "
-                                    << NextEventTime());
-  now_ = t;
-}
-
 std::size_t Simulator::RunUntil(TimeUs until) {
   std::size_t ran = 0;
   while (Step(until)) {

@@ -90,25 +90,6 @@ class Simulator {
   // Events at exactly `until` still run. Returns the number of events run.
   std::size_t RunUntil(TimeUs until);
 
-  // Timestamp of the earliest live event, or +infinity when the queue is
-  // empty. Non-const only because it sweeps already-cancelled entries off
-  // the ring head; the observable state does not change. This is the LBTS
-  // ingredient of the parallel LP runtime: an LP publishes its next event
-  // time as the lower bound on any message it may still send.
-  TimeUs NextEventTime();
-
-  // Runs the single earliest event if its timestamp is strictly below
-  // `bound`; returns false (and runs nothing) otherwise. The conservative
-  // parallel loop uses this so the safe bound can be re-derived between
-  // events.
-  bool RunOneBefore(TimeUs bound);
-
-  // Advances the clock to `t` without running anything. `t` must not be in
-  // the past and must not skip over a pending event (events at exactly `t`
-  // may remain). Lets a parked LP serve rendezvous requests at a barrier
-  // time before any of its own events at that time have run.
-  void AdvanceClockTo(TimeUs t);
-
   // Runs until no events remain. Returns the number of events run.
   std::size_t RunUntilIdle();
 

@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -116,10 +115,7 @@ class MetricRegistry {
   // (lifetime moments, counters and gauges are untouched).
   void ResetWindows();
 
-  std::size_t size() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return metrics_.size();
-  }
+  std::size_t size() const { return metrics_.size(); }
 
   // Canonical "name{k=v,...}" encoding used as the registry key and by the
   // CSV exporter's labels column.
@@ -138,13 +134,8 @@ class MetricRegistry {
   Metric* GetOrCreate(const std::string& name, const Labels& labels, MetricKind kind);
   const Metric* Find(const std::string& name, const Labels& labels) const;
 
-  // Guards the map itself: parallel-LP node threads register their labeled
-  // instruments concurrently (DESIGN.md §16). Instrument *updates* need no
-  // lock — each (name, labels) instrument is owned by one logical process,
-  // only registration shares the map. The returned pointers stay stable
-  // because the map stores unique_ptrs.
-  mutable std::mutex mu_;
   // Keyed by EncodeKey → sorted iteration is deterministic and label-stable.
+  // The map stores unique_ptrs, so returned pointers stay stable.
   std::map<std::string, std::unique_ptr<Metric>> metrics_;
 };
 

@@ -1,20 +1,27 @@
 // Datacenter subsystem tests (src/datacenter): cluster topology arithmetic,
 // N=1 equivalence with the single-node serving engine, multi-node serving
 // over the NIC/ToR network, node-granularity faults with cross-node
-// failover, and the request accounting identity under all of it.
+// failover, and the request accounting identity under all of it. The golden
+// tests pin a 64-bit digest of every result field ClusterResultsBitIdentical
+// compares, one per engine regime, so any moved output bit shows up here.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "src/datacenter/cluster.h"
 #include "src/datacenter/cluster_topology.h"
 #include "src/fault/fault_plan.h"
 #include "src/serving/serving.h"
+#include "src/workloads/models.h"
+#include "tests/test_util.h"
 
 namespace orion {
 namespace datacenter {
 namespace {
 
+using serving::LlmServiceConfig;
 using serving::ModelServiceConfig;
 using serving::ModelServingResult;
 using serving::PriorityTier;
@@ -291,10 +298,196 @@ TEST(DatacenterTest, SameSeedClusterRunsAreIdentical) {
   const ClusterConfig config = FailoverCluster();
   const ClusterResult a = RunCluster(config);
   const ClusterResult b = RunCluster(config);
-  ExpectServingResultsEqual(a.serving, b.serving);
-  EXPECT_EQ(a.requests_forwarded, b.requests_forwarded);
-  EXPECT_DOUBLE_EQ(a.request_bytes_moved, b.request_bytes_moved);
-  EXPECT_DOUBLE_EQ(a.response_bytes_moved, b.response_bytes_moved);
+  EXPECT_TRUE(ClusterResultsBitIdentical(a, b));
+}
+
+// --- Golden digests, one per engine regime. ---
+
+// Every field ClusterResultsBitIdentical compares, in its order.
+std::uint64_t ClusterDigest(const ClusterResult& result) {
+  testutil::BitDigest d;
+  const ServingResult& s = result.serving;
+  d.U64(s.models.size());
+  d.F64(s.window_us);
+  for (const std::size_t v : {s.scale_ups, s.scale_downs, s.scale_failures, s.faults_injected,
+                              s.faults_skipped, s.replicas_lost, s.replacements,
+                              s.replacement_failures, s.gpus_alive_end}) {
+    d.U64(v);
+  }
+  d.F64(s.replica_seconds);
+  for (const ModelServingResult& m : s.models) {
+    d.Str(m.name);
+    d.U64(static_cast<std::uint64_t>(m.tier));
+    for (const std::size_t v : {m.offered, m.completed, m.slo_met, m.shed, m.dropped,
+                                m.failed_over}) {
+      d.U64(v);
+    }
+    d.F64(m.slo_attainment);
+    d.F64(m.throughput_rps);
+    d.U64(m.batches);
+    d.F64(m.mean_batch_size);
+    d.U64(static_cast<std::uint64_t>(m.final_replicas));
+    for (const std::size_t v : {m.tokens, m.prefills, m.decode_steps, m.kv_evictions,
+                                m.total_offered, m.total_completed, m.total_shed,
+                                m.total_dropped, m.left_in_system}) {
+      d.U64(v);
+    }
+    d.Samples(m.latency);
+    d.Samples(m.queueing);
+    d.Samples(m.ttft);
+    d.Samples(m.tpot);
+  }
+  d.U64(result.nodes.size());
+  d.U64(result.nodes_alive_end);
+  d.U64(result.node_faults);
+  d.U64(result.requests_forwarded);
+  d.F64(result.request_bytes_moved);
+  d.F64(result.response_bytes_moved);
+  for (const NodeSummary& n : result.nodes) {
+    d.U64(static_cast<std::uint64_t>(n.node));
+    d.U64(n.alive_end ? 1u : 0u);
+    for (const std::size_t v : {n.replicas_created, n.replicas_killed, n.batches, n.requests}) {
+      d.U64(v);
+    }
+  }
+  return d.value();
+}
+
+// Runs `config` and checks its digest against the pinned value. A change
+// here means some output bit moved.
+ClusterResult ExpectGolden(const ClusterConfig& config, std::uint64_t pinned) {
+  ClusterResult result = RunCluster(config);
+  const std::uint64_t digest = ClusterDigest(result);
+  EXPECT_EQ(digest, pinned) << "seed " << config.serving.seed << std::hex << " digest 0x"
+                            << digest;
+  return result;
+}
+
+ClusterConfig GoldenServing(int num_nodes, std::uint64_t seed) {
+  ClusterConfig config;
+  config.cluster.num_nodes = num_nodes;
+  config.cluster.gpus_per_node = 2;
+  config.serving.seed = seed;
+  config.serving.warmup_us = SecToUs(0.5);
+  config.serving.duration_us = SecToUs(2.5);
+  config.serving.models = {Service(ModelId::kResNet50, PriorityTier::kLatencyCritical, 200.0,
+                                   MsToUs(50.0), num_nodes, 2 * num_nodes)};
+  return config;
+}
+
+ClusterConfig GoldenLlm(int num_nodes, std::uint64_t seed) {
+  ClusterConfig config;
+  config.cluster.num_nodes = num_nodes;
+  config.cluster.gpus_per_node = 1;
+  config.serving.seed = seed;
+  config.serving.warmup_us = SecToUs(0.5);
+  config.serving.duration_us = SecToUs(2.5);
+  ModelServiceConfig cfg = Service(ModelId::kLlmDecode, PriorityTier::kLatencyCritical,
+                                   40.0 * num_nodes, MsToUs(200.0), num_nodes, num_nodes);
+  LlmServiceConfig& llm = cfg.llm;
+  llm.enabled = true;
+  llm.continuous = true;
+  llm.model.layers = 4;
+  llm.model.hidden = 1024;
+  llm.model.heads = 8;
+  llm.prompt_tokens = 64;
+  llm.min_decode_tokens = 4;
+  llm.max_decode_tokens = 16;
+  llm.ttft_slo_us = MsToUs(50.0);
+  llm.tpot_slo_us = MsToUs(5.0);
+  config.serving.models = {cfg};
+  return config;
+}
+
+ClusterConfig GoldenNodeDown(std::uint64_t seed) {
+  ClusterConfig config = GoldenServing(3, seed);
+  config.serving.models[0].rps = 240.0;
+  fault::FaultEvent down;
+  down.kind = fault::FaultKind::kNodeDown;
+  down.at_us = SecToUs(1.5);
+  down.node = 0;
+  config.serving.fault_plan.events.push_back(down);
+  return config;
+}
+
+TEST(DatacenterGoldenTest, ServingAcrossSeeds) {
+  const std::pair<std::uint64_t, std::uint64_t> golden[] = {
+      {1u, 0x6871ce55325480e2ULL}, {7u, 0xf7b753fe64582c70ULL}, {42u, 0x124a91859b1bb9e6ULL}};
+  for (const auto& [seed, pinned] : golden) {
+    const ClusterResult result = ExpectGolden(GoldenServing(4, seed), pinned);
+    EXPECT_GT(result.requests_forwarded, 0u);  // the network path ran
+  }
+}
+
+TEST(DatacenterGoldenTest, ServingWithAutoscaler) {
+  ClusterConfig config = GoldenServing(3, 11u);
+  config.serving.models[0].rps = 320.0;
+  config.serving.autoscaler.enabled = true;
+  config.serving.autoscaler.eval_period_us = SecToUs(0.25);
+  ExpectGolden(config, 0x6fbe92aefbb94059ULL);
+}
+
+TEST(DatacenterGoldenTest, LlmContinuousBatching) {
+  const std::pair<std::uint64_t, std::uint64_t> golden[] = {{3u, 0x4ed889ce29e5f398ULL},
+                                                             {42u, 0xa47cd94adb2663bcULL}};
+  for (const auto& [seed, pinned] : golden) {
+    const ClusterResult result = ExpectGolden(GoldenLlm(3, seed), pinned);
+    EXPECT_GT(result.serving.models[0].decode_steps, 0u);
+  }
+}
+
+TEST(DatacenterGoldenTest, OversubscribedKvPaging) {
+  ClusterConfig config = GoldenLlm(2, 42u);
+  LlmServiceConfig& llm = config.serving.models[0].llm;
+  // A cache sized for ~2 join-time footprints with long generations:
+  // sequences overflow mid-decode and the engine preempts with recompute.
+  llm.max_decode_tokens = 48;
+  llm.kv_capacity_bytes =
+      workloads::LlmKvBytesPerToken(llm.model) *
+      static_cast<std::size_t>(2.2 * (llm.prompt_tokens + llm.max_decode_tokens));
+  config.serving.models[0].rps = 150.0;
+  const ClusterResult result = ExpectGolden(config, 0x3f790a7eaa031f4fULL);
+  EXPECT_GT(result.serving.models[0].kv_evictions, 0u);
+}
+
+TEST(DatacenterGoldenTest, NodeDownFailover) {
+  const std::pair<std::uint64_t, std::uint64_t> golden[] = {{1u, 0xc0a84420daa8efc1ULL},
+                                                             {2u, 0x100e7b735878683dULL}};
+  for (const auto& [seed, pinned] : golden) {
+    const ClusterResult result = ExpectGolden(GoldenNodeDown(seed), pinned);
+    EXPECT_EQ(result.node_faults, 1u);
+    EXPECT_GT(result.serving.models[0].failed_over, 0u);
+  }
+}
+
+// Two node deaths mid-run: every offered request is still accounted for
+// (the engine CHECKs the identity too).
+TEST(DatacenterGoldenTest, NoRequestLostUnderNodeFaultChurn) {
+  const std::pair<std::uint64_t, std::uint64_t> golden[] = {{5u, 0xe03ba3a22476517dULL},
+                                                             {17u, 0xd40989be5d026426ULL}};
+  for (const auto& [seed, pinned] : golden) {
+    ClusterConfig config = GoldenServing(4, seed);
+    config.serving.models[0].rps = 240.0;
+    for (int i = 0; i < 2; ++i) {
+      fault::FaultEvent down;
+      down.kind = fault::FaultKind::kNodeDown;
+      down.at_us = SecToUs(1.0 + 0.7 * i);
+      down.node = i;  // nodes 0 then 1 die mid-run
+      config.serving.fault_plan.events.push_back(down);
+    }
+    const ClusterResult result = ExpectGolden(config, pinned);
+    EXPECT_EQ(result.node_faults, 2u);
+    const ModelServingResult& m = result.serving.models[0];
+    EXPECT_EQ(m.total_offered,
+              m.total_completed + m.total_shed + m.total_dropped + m.left_in_system);
+  }
+}
+
+TEST(DatacenterGoldenTest, WithoutANetworkNothingIsForwarded) {
+  ClusterConfig config = GoldenServing(2, 42u);
+  config.cluster.model_network = false;
+  const ClusterResult result = ExpectGolden(config, 0xc773e56ad625c4a1ULL);
+  EXPECT_EQ(result.requests_forwarded, 0u);
 }
 
 }  // namespace

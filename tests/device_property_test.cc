@@ -19,13 +19,13 @@
 //       time and utilization window, bit for bit.
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <map>
 #include <vector>
 
 #include "src/common/rng.h"
 #include "src/gpusim/device.h"
 #include "src/sim/simulator.h"
+#include "tests/test_util.h"
 
 namespace orion {
 namespace gpusim {
@@ -226,26 +226,6 @@ TEST_P(EventOrderTest, EventNeverFiresBeforePriorOps) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EventOrderTest, ::testing::Values(7, 11, 19, 42, 97));
 
-// FNV-1a over the bit patterns of doubles and integers.
-class BitDigest {
- public:
-  void U64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      hash_ ^= (v >> (8 * i)) & 0xffu;
-      hash_ *= 0x100000001b3ULL;
-    }
-  }
-  void F64(double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    U64(bits);
-  }
-  std::uint64_t value() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
-};
-
 constexpr TimeUs kChurnWindowFrom = 1000.0;
 constexpr TimeUs kChurnWindowTo = 6000.0;
 constexpr TimeUs kChurnForever = 1e12;
@@ -265,7 +245,7 @@ std::uint64_t RunChurn(std::uint64_t seed, bool debug_oracle = false,
   for (int s = 0; s < 6; ++s) {
     streams.push_back(device.CreateStream(s < 2 ? kPriorityHigh : kPriorityDefault));
   }
-  BitDigest digest;
+  testutil::BitDigest digest;
   device.set_kernel_trace_sink([&digest](const KernelExecRecord& rec) {
     digest.U64(rec.kernel_id);
     digest.U64(static_cast<std::uint64_t>(rec.stream));

@@ -2,8 +2,11 @@
 #ifndef TESTS_TEST_UTIL_H_
 #define TESTS_TEST_UTIL_H_
 
+#include <bit>
+#include <cstdint>
 #include <string>
 
+#include "src/common/stats.h"
 #include "src/gpusim/kernel.h"
 
 namespace orion {
@@ -26,6 +29,37 @@ inline gpusim::KernelDesc MakeKernel(const std::string& name, DurationUs duratio
   kernel.geometry.shared_mem_per_block = 0;
   return kernel;
 }
+
+// FNV-1a over the bit patterns of doubles and integers, for golden digests
+// of whole runs: one flipped output bit changes the value.
+class BitDigest {
+ public:
+  void U64(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      hash_ ^= (v >> (8 * i)) & 0xffu;
+      hash_ *= 0x100000001b3ULL;
+    }
+  }
+  void F64(double v) { U64(std::bit_cast<std::uint64_t>(v)); }
+  void Str(const std::string& s) {
+    U64(s.size());
+    for (const char c : s) {
+      U64(static_cast<unsigned char>(c));
+    }
+  }
+  // Sample count, then every sample in recorded order (no percentile query
+  // first: LatencyRecorder sorts in place).
+  void Samples(const LatencyRecorder& recorder) {
+    U64(recorder.samples().size());
+    for (const double sample : recorder.samples()) {
+      F64(sample);
+    }
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
 
 }  // namespace testutil
 }  // namespace orion
