@@ -88,8 +88,7 @@ std::optional<Placement> PlacementEngine::Place(const std::vector<JobSignature>&
     ORION_CHECK_MSG(options.topology->num_gpus() == options.num_gpus,
                     "topology GPU count does not match num_gpus");
   }
-  const std::size_t capacity =
-      options.gpu_memory_bytes > 0 ? options.gpu_memory_bytes : options.device.memory_bytes;
+  const std::size_t capacity = options.device.memory_bytes;
 
   Placement placement;
   placement.gpu_jobs.assign(static_cast<std::size_t>(options.num_gpus), {});
@@ -177,8 +176,7 @@ std::optional<Placement> PlacementEngine::Place(const std::vector<JobSignature>&
 std::optional<Placement> PlacementEngine::PlaceRoundRobin(const std::vector<JobSignature>& jobs,
                                                           const PlacementOptions& options) {
   ORION_CHECK(options.num_gpus >= 1);
-  const std::size_t capacity =
-      options.gpu_memory_bytes > 0 ? options.gpu_memory_bytes : options.device.memory_bytes;
+  const std::size_t capacity = options.device.memory_bytes;
   Placement placement;
   placement.gpu_jobs.assign(static_cast<std::size_t>(options.num_gpus), {});
   placement.job_gpus.assign(jobs.size(), {});

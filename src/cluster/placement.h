@@ -69,7 +69,6 @@ struct Placement {
 
 struct PlacementOptions {
   int num_gpus = 1;
-  std::size_t gpu_memory_bytes = 0;  // 0 = use device preset
   gpusim::DeviceSpec device = gpusim::DeviceSpec::V100_16GB();
   int max_jobs_per_gpu = 2;
   // Node link topology, used to score candidate GPU sets for multi-GPU jobs

@@ -31,7 +31,6 @@
 #define SRC_DATACENTER_CLUSTER_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "src/serving/serving.h"
@@ -44,32 +43,17 @@ struct ClusterSpec {
   int num_nodes = 1;
   int gpus_per_node = 4;
 
-  // NIC/ToR star fabric (per direction, full duplex). Defaults roughly match
-  // a 100 GbE NIC through one switch hop.
+  // NIC/ToR star fabric (per direction, full duplex), modeled whenever
+  // num_nodes > 1. The default roughly matches a 100 GbE NIC through one
+  // switch hop.
   double nic_gbps = 12.5;
-  double nic_latency_us = 10.0;
-
-  // Request/response payloads crossing the network (serialized tensors).
-  std::size_t request_bytes = 32 * 1024;
-  std::size_t response_bytes = 128 * 1024;
-
-  // Model the network fabric (transfers, contention, NIC faults). Only takes
-  // effect with num_nodes > 1; a single node never crosses the network.
-  bool model_network = true;
 };
 
-// How the front-end picks a node for an admitted request. The replica within
-// the node is always picked by the serving::Router policy.
-enum class NodePolicy : std::uint8_t {
-  kLeastOutstanding,  // node whose best replica has the least predicted wait
-  kRoundRobin,        // rotate over nodes with an active replica
-};
-
-const char* NodePolicyName(NodePolicy policy);
-
+// The front-end sends each admitted request to the node whose best replica
+// has the least predicted wait; the replica within the node is picked by the
+// serving::Router policy.
 struct ClusterConfig {
   ClusterSpec cluster;
-  NodePolicy node_policy = NodePolicy::kLeastOutstanding;
   // Per-service workloads, policies, faults, telemetry. `serving.num_gpus`
   // is ignored here: the GPU count is cluster.num_nodes * gpus_per_node.
   serving::ServingConfig serving;

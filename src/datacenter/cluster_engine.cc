@@ -37,13 +37,10 @@ namespace {
 
 using serving::ReplicaView;
 using serving::Request;
-using serving::RequestOutcome;
 using serving::RouteReason;
 
 std::unique_ptr<trace::ArrivalProcess> MakeArrivals(const serving::ModelServiceConfig& cfg) {
   switch (cfg.arrivals) {
-    case serving::ArrivalKind::kUniform:
-      return trace::MakeUniform(cfg.rps);
     case serving::ArrivalKind::kPoisson:
       return trace::MakePoisson(cfg.rps);
     case serving::ArrivalKind::kApollo:
@@ -60,6 +57,12 @@ std::unique_ptr<trace::ArrivalProcess> MakeArrivals(const serving::ModelServiceC
   return nullptr;
 }
 
+// Network constants: per-direction NIC latency through one switch hop, and
+// the serialized request and response tensors crossing it.
+constexpr DurationUs kNicLatencyUs = 10.0;
+constexpr std::size_t kRequestBytes = 32 * 1024;
+constexpr std::size_t kResponseBytes = 128 * 1024;
+
 // Where a global replica id lives.
 struct ReplicaRef {
   int node = -1;
@@ -72,7 +75,6 @@ class ClusterEngine : public NodeHost {
       : config_(cluster_config.serving),
         spec_(cluster_config.cluster),
         topo_(cluster_config.cluster),
-        node_policy_(cluster_config.node_policy),
         router_(cluster_config.serving.policy, cluster_config.serving.models.size()),
         admission_(cluster_config.serving.admission),
         horizon_(cluster_config.serving.warmup_us + cluster_config.serving.duration_us) {
@@ -104,7 +106,6 @@ class ClusterEngine : public NodeHost {
             workloads::LlmWeightBytes(cfg.llm.model));
       }
     }
-    rr_node_cursor_.assign(config_.models.size(), 0);
 
     for (int n = 0; n < spec_.num_nodes; ++n) {
       nodes_.emplace_back(n, spec_.gpus_per_node, this);
@@ -116,8 +117,7 @@ class ClusterEngine : public NodeHost {
       // node; interconnect::kHostNode is the ToR side.
       for (int n = 0; n < spec_.num_nodes; ++n) {
         fabrics_.push_back(std::make_unique<interconnect::Fabric>(
-            &sim_, interconnect::NodeTopology::NicStar(1, spec_.nic_gbps,
-                                                       spec_.nic_latency_us)));
+            &sim_, interconnect::NodeTopology::NicStar(1, spec_.nic_gbps, kNicLatencyUs)));
       }
     }
     BindTelemetry();
@@ -175,16 +175,8 @@ class ClusterEngine : public NodeHost {
     ModelState& model = *models_[r.model];
     const int batch_size = static_cast<int>(r.in_flight.size());
     const int gpu_global = topo_.GlobalGpu(node.node_id(), r.gpu);
-    if (!NetworkOn()) {
-      for (const Request& request : r.in_flight) {
-        CompleteRequest(request, r.id, gpu_global, r.batch_start, now, now);
-      }
-    } else {
-      // The computed responses still have to cross the network; completion
-      // accounting happens when each one reaches the front-end.
-      for (const Request& request : r.in_flight) {
-        SendResponse(node.node_id(), r.id, gpu_global, r.batch_start, now, request);
-      }
+    for (const Request& request : r.in_flight) {
+      Respond(node.node_id(), r.id, gpu_global, r.batch_start, now, request);
     }
     if (model.track >= 0) {
       hub_->spans().Complete(gpu_tracks_[static_cast<std::size_t>(gpu_global)], r.id,
@@ -239,12 +231,8 @@ class ClusterEngine : public NodeHost {
 
   void OnSequenceFinished(NodeEngine& node, Replica& r, const Request& request,
                           TimeUs step_start, TimeUs step_end) override {
-    const int gpu_global = topo_.GlobalGpu(node.node_id(), r.gpu);
-    if (!NetworkOn()) {
-      CompleteRequest(request, r.id, gpu_global, step_start, step_end, step_end);
-    } else {
-      SendResponse(node.node_id(), r.id, gpu_global, step_start, step_end, request);
-    }
+    Respond(node.node_id(), r.id, topo_.GlobalGpu(node.node_id(), r.gpu), step_start, step_end,
+            request);
   }
 
   void OnKvEviction(NodeEngine& node, Replica& r, const Request& request) override {
@@ -353,7 +341,7 @@ class ClusterEngine : public NodeHost {
     TimeUs batch_end = 0.0;                     // kResponse
   };
 
-  bool NetworkOn() const { return spec_.num_nodes > 1 && spec_.model_network; }
+  bool NetworkOn() const { return spec_.num_nodes > 1; }
 
   // Binds every instrument against the hub registry (a private registry
   // when no hub is configured) and registers the trace tracks.
@@ -475,8 +463,8 @@ class ClusterEngine : public NodeHost {
               ? static_cast<int>(model.rng.UniformInt(llm.min_decode_tokens,
                                                       llm.max_decode_tokens))
               : llm.min_decode_tokens;
-      // Per-token SLOs supersede slo_us: the deadline admission gates on and
-      // EDF queues order by is the TTFT deadline.
+      // Per-token SLOs supersede slo_us: the deadline admission gates on is
+      // the TTFT deadline.
       request.deadline_us = now + llm.ttft_slo_us;
     }
     if (attr_) {
@@ -511,7 +499,6 @@ class ClusterEngine : public NodeHost {
                                    ? model.llm_cost->PrefillUs(request.prompt_tokens)
                                    : model.cost.BatchServiceUs(est_batch);
     if (!admission_.Admit(request, model.cfg.tier, best_wait, service)) {
-      request.outcome = RequestOutcome::kShed;
       model.total_shed->Inc();
       ++model.w_shed;
       if (InWindow(now)) {
@@ -520,11 +507,7 @@ class ClusterEngine : public NodeHost {
       Mark("shed", {{"service", model.label}});
       return;
     }
-    if (NetworkOn()) {
-      ForwardRequest(node, std::move(request), std::nullopt);
-    } else {
-      Deliver(node, std::move(request), std::nullopt);
-    }
+    Route(node, std::move(request), std::nullopt);
   }
 
   // Batch size the next dispatch will likely use (admission's service-time
@@ -563,7 +546,7 @@ class ClusterEngine : public NodeHost {
   // Level-1 routing: the node to send an admitted request of `m` to, or -1
   // when no node has an active replica. Least-outstanding compares each
   // node's best replica; ties break towards the lowest node id.
-  int PickNode(std::size_t m) {
+  int PickNode(std::size_t m) const {
     std::vector<double> node_best(static_cast<std::size_t>(spec_.num_nodes),
                                   std::numeric_limits<double>::infinity());
     std::vector<bool> has(static_cast<std::size_t>(spec_.num_nodes), false);
@@ -577,19 +560,6 @@ class ClusterEngine : public NodeHost {
       }
       has[n] = true;
       node_best[n] = std::min(node_best[n], node.OutstandingUs(r));
-    }
-    if (node_policy_ == NodePolicy::kRoundRobin) {
-      std::vector<int> candidates;
-      for (int n = 0; n < spec_.num_nodes; ++n) {
-        if (has[static_cast<std::size_t>(n)]) {
-          candidates.push_back(n);
-        }
-      }
-      if (candidates.empty()) {
-        return -1;
-      }
-      return candidates[static_cast<std::size_t>(rr_node_cursor_[m]++ %
-                                                 candidates.size())];
     }
     int best = -1;
     for (int n = 0; n < spec_.num_nodes; ++n) {
@@ -629,6 +599,17 @@ class ClusterEngine : public NodeHost {
     }
   }
 
+  // Sends an admitted request to `node`: across its NIC on a networked
+  // cluster, straight to the node engine otherwise. `forced` overrides the
+  // recorded route reason (failover rehomes, limbo drains).
+  void Route(int node, Request request, std::optional<RouteReason> forced) {
+    if (NetworkOn()) {
+      ForwardRequest(node, std::move(request), forced);
+    } else {
+      Deliver(node, std::move(request), forced);
+    }
+  }
+
   // Level-2 routing: pick the replica on `node` and hand the request to the
   // node engine. `forced` overrides the recorded route reason (failover
   // rehomes, limbo drains).
@@ -650,7 +631,7 @@ class ClusterEngine : public NodeHost {
     nodes_[static_cast<std::size_t>(node)].EnqueueAt(slots[idx], std::move(request));
   }
 
-  // --- Network legs (num_nodes > 1 with model_network). ---
+  // --- Network legs (num_nodes > 1). ---
 
   void StartOp(int src, int dst, std::size_t bytes, NetOp op) {
     const std::uint64_t op_id = next_op_id_++;
@@ -683,7 +664,7 @@ class ClusterEngine : public NodeHost {
     op.node = node;
     op.request = std::move(request);
     op.forced = forced;
-    StartOp(interconnect::kHostNode, node, spec_.request_bytes, std::move(op));
+    StartOp(interconnect::kHostNode, node, kRequestBytes, std::move(op));
   }
 
   void SendResponse(int node, int replica_id, int gpu_global, TimeUs batch_start,
@@ -700,7 +681,7 @@ class ClusterEngine : public NodeHost {
     op.gpu = gpu_global;
     op.batch_start = batch_start;
     op.batch_end = batch_end;
-    StartOp(node, interconnect::kHostNode, spec_.response_bytes, std::move(op));
+    StartOp(node, interconnect::kHostNode, kResponseBytes, std::move(op));
   }
 
   void OnNetOpDone(std::uint64_t op_id) {
@@ -745,6 +726,18 @@ class ClusterEngine : public NodeHost {
   }
 
   // --- Completion accounting. ---
+
+  // A served request's response: crosses the network back to the front-end
+  // on a networked cluster (completion accounting happens on arrival there),
+  // completes at `exec_end` otherwise.
+  void Respond(int node, int replica_id, int gpu_global, TimeUs batch_start, TimeUs exec_end,
+               const Request& request) {
+    if (NetworkOn()) {
+      SendResponse(node, replica_id, gpu_global, batch_start, exec_end, request);
+    } else {
+      CompleteRequest(request, replica_id, gpu_global, batch_start, exec_end, exec_end);
+    }
+  }
 
   // `exec_end` is the device batch completion; `complete_us` when the
   // response reached the front-end (identical without a network).
@@ -922,11 +915,7 @@ class ClusterEngine : public NodeHost {
       model.limbo.pop_front();
       const int node = PickNode(r.model);
       ORION_CHECK(node >= 0);  // this replica just activated
-      if (NetworkOn()) {
-        ForwardRequest(node, std::move(request), RouteReason::kLimboDrain);
-      } else {
-        Deliver(node, std::move(request), RouteReason::kLimboDrain);
-      }
+      Route(node, std::move(request), RouteReason::kLimboDrain);
     }
   }
 
@@ -1068,12 +1057,10 @@ class ClusterEngine : public NodeHost {
     for (Request& request : orphans) {
       RehomeOrphan(m, std::move(request), was_running);
     }
-    if (config_.replace_lost_replicas) {
-      if (AddReplica(m)) {
-        replacements_->Inc();
-      } else {
-        replacement_failures_->Inc();
-      }
+    if (AddReplica(m)) {
+      replacements_->Inc();
+    } else {
+      replacement_failures_->Inc();
     }
   }
 
@@ -1091,7 +1078,9 @@ class ClusterEngine : public NodeHost {
     }
     const int node = PickNode(m);
     if (node < 0) {
-      if (PendingReplicas(m) > 0 || (config_.replace_lost_replicas && was_running)) {
+      // Failover provisions a replacement for every running replica it
+      // kills, so their orphans wait in limbo for it.
+      if (PendingReplicas(m) > 0 || was_running) {
         model.limbo.push_back(std::move(request));
       } else {
         model.total_dropped->Inc();
@@ -1102,11 +1091,7 @@ class ClusterEngine : public NodeHost {
       }
       return;
     }
-    if (NetworkOn()) {
-      ForwardRequest(node, std::move(request), RouteReason::kFailoverRehome);
-    } else {
-      Deliver(node, std::move(request), RouteReason::kFailoverRehome);
-    }
+    Route(node, std::move(request), RouteReason::kFailoverRehome);
   }
 
   // --- Autoscaling. ---
@@ -1291,7 +1276,6 @@ class ClusterEngine : public NodeHost {
   serving::ServingConfig config_;
   ClusterSpec spec_;
   ClusterTopology topo_;
-  NodePolicy node_policy_;
   Simulator sim_;
   serving::Router router_;
   serving::AdmissionController admission_;
@@ -1303,7 +1287,6 @@ class ClusterEngine : public NodeHost {
   std::vector<std::unique_ptr<interconnect::Fabric>> fabrics_;
   std::vector<std::unique_ptr<ModelState>> models_;
   std::vector<ReplicaRef> directory_;  // global replica id -> (node, slot)
-  std::vector<std::uint64_t> rr_node_cursor_;  // level-1 round-robin, per model
   std::uint64_t next_request_id_ = 0;
 
   // In-flight network payloads, keyed by a monotonically increasing op id so

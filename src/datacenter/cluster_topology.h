@@ -1,4 +1,4 @@
-// Cluster shape and index math: nodes x GPUs plus the NIC/ToR network.
+// Cluster shape and index math: nodes x GPUs.
 //
 // Pure data, like interconnect::NodeTopology one level down. Global GPU
 // indices order GPUs node-major — global = node * gpus_per_node + local — so
@@ -8,7 +8,6 @@
 #define SRC_DATACENTER_CLUSTER_TOPOLOGY_H_
 
 #include "src/datacenter/cluster.h"
-#include "src/interconnect/topology.h"
 
 namespace orion {
 namespace datacenter {
@@ -25,14 +24,6 @@ class ClusterTopology {
   int NodeOfGpu(int global_gpu) const;
   int LocalGpu(int global_gpu) const;
   int GlobalGpu(int node, int local_gpu) const;
-
-  // The datacenter network: one kNic link per node to the ToR switch at the
-  // root (interconnect::kHostNode), ready for an interconnect::Fabric.
-  // Endpoint i of the returned topology is cluster node i.
-  interconnect::NodeTopology MakeNetwork() const;
-
-  // The NIC link of `node` in the MakeNetwork() topology.
-  interconnect::LinkId NicLink(int node) const;
 
  private:
   ClusterSpec spec_;

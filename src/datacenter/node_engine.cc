@@ -71,7 +71,7 @@ int NodeEngine::CreateReplica(int id, std::size_t model, int local_gpu, bool act
                                      ? std::min(llm->kv_capacity_bytes, free)
                                      : free;
     serving::KvCacheConfig kv_config;
-    kv_config.block_tokens = llm->kv_block_tokens;
+    kv_config.block_tokens = serving::kKvBlockTokens;
     kv_config.bytes_per_token = host_->model_llm_cost(model).kv_bytes_per_token();
     kv_config.capacity_bytes = capacity;
     r.llm = std::make_unique<Replica::LlmState>(kv_config);
@@ -228,7 +228,7 @@ void NodeEngine::TryStepLlm(int slot) {
 
   // 2. Join sequences from the queue head while batch slots and KV capacity
   //    allow; stop at the first that does not fit (head-of-line order is
-  //    what the batcher's FIFO/EDF policy decided).
+  //    the batcher's FIFO order).
   const serving::BatchingConfig& batching = host_->batching_config();
   const int max_batch = batching.enabled ? batching.max_batch_size : 1;
   st.joined_this_step = 0;

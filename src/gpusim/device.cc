@@ -15,9 +15,6 @@ namespace {
 // floating-point residue from rate integration.
 constexpr DurationUs kRemainingEpsilon = 1e-6;
 
-// Fixed device-side overhead of a memset, on top of its bandwidth cost.
-constexpr DurationUs kMemsetOverheadUs = 2.0;
-
 // Block-turnover quantum: how long it takes for SM shares to shift after the
 // allocation target changes. Running thread blocks are never preempted, but
 // DNN kernels consist of many short blocks, so SMs drain to new owners at
@@ -99,17 +96,6 @@ void Device::EnqueueMemcpy(StreamId stream, std::size_t bytes, MemcpyKind kind,
   op.type = Op::Type::kMemcpy;
   op.bytes = bytes;
   op.memcpy_kind = kind;
-  op.done = std::move(done);
-  op.seq = next_seq_++;
-  streams_[static_cast<std::size_t>(stream)].queue.push_back(std::move(op));
-  ActivateStreamHead(stream);
-}
-
-void Device::EnqueueMemset(StreamId stream, std::size_t bytes, CompletionCb done) {
-  ORION_CHECK(stream >= 0 && stream < static_cast<int>(streams_.size()));
-  Op op;
-  op.type = Op::Type::kMemset;
-  op.bytes = bytes;
   op.done = std::move(done);
   op.seq = next_seq_++;
   streams_[static_cast<std::size_t>(stream)].queue.push_back(std::move(op));
@@ -302,19 +288,6 @@ void Device::ActivateStreamHead(StreamId stream_id) {
         StartNextCopy();
         return;
       }
-      case Op::Type::kMemset: {
-        const DurationUs duration =
-            kMemsetOverheadUs + static_cast<double>(front.bytes) /
-                                    (spec_.peak_membw_gbps * membw_factor_ * 1e3);
-        stream.head_done = std::move(front.done);
-        stream.queue.pop_front();
-        stream.head_active = true;
-        sim_->ScheduleAfter(duration, [this, stream_id] {
-          FinishOp(stream_id);
-          Reschedule();
-        });
-        return;
-      }
     }
   }
 }
@@ -353,7 +326,7 @@ void Device::StartNextCopy() {
   const std::size_t chunk =
       pcie_priority_ ? std::min(copy.bytes, kCopyChunkBytes) : copy.bytes;
   const DurationUs setup = copy.started ? 0.0 : spec_.pcie_latency_us;
-  const bool via_fabric = host_link_ != nullptr && copy.kind != MemcpyKind::kDeviceToDevice;
+  const bool via_fabric = host_link_ != nullptr;
   const bool to_device = copy.kind == MemcpyKind::kHostToDevice;
   copy.bytes -= chunk;
   copy.started = true;

@@ -57,7 +57,6 @@ struct GpuEvent {
 enum class MemcpyKind : std::uint8_t {
   kHostToDevice,
   kDeviceToHost,
-  kDeviceToDevice,
 };
 
 // Trace record emitted for every kernel execution (used by the profiler and
@@ -94,7 +93,6 @@ class Device {
   void LaunchKernel(StreamId stream, KernelDesc kernel, CompletionCb done = nullptr);
   void EnqueueMemcpy(StreamId stream, std::size_t bytes, MemcpyKind kind,
                      CompletionCb done = nullptr);
-  void EnqueueMemset(StreamId stream, std::size_t bytes, CompletionCb done = nullptr);
   // Completes when every op previously enqueued on `stream` has completed.
   void RecordEvent(StreamId stream, GpuEvent* event, CompletionCb done = nullptr);
   // Enqueues an externally-executed op (e.g. a collective's link transfer,
@@ -176,10 +174,10 @@ class Device {
 
  private:
   struct Op {
-    enum class Type : std::uint8_t { kKernel, kMemcpy, kMemset, kEvent, kExternal };
+    enum class Type : std::uint8_t { kKernel, kMemcpy, kEvent, kExternal };
     Type type = Type::kKernel;
     KernelDesc kernel;            // kKernel
-    std::size_t bytes = 0;        // kMemcpy / kMemset
+    std::size_t bytes = 0;        // kMemcpy
     MemcpyKind memcpy_kind = MemcpyKind::kHostToDevice;
     GpuEvent* event = nullptr;    // kEvent
     ExternalBody external;        // kExternal
@@ -274,7 +272,7 @@ class Device {
   void InvalidateAggregates() { aggregates_valid_ = false; }
   // Retires every running kernel whose remaining work reached zero.
   void CompleteFinishedKernels();
-  // Starts the front op of `stream` if it is startable (event/memset resolve
+  // Starts the front op of `stream` if it is startable (events resolve
   // immediately; memcpy goes to the copy engine; kernels wait for SMs).
   void ActivateStreamHead(StreamId stream);
   // Retires the stream's executing head op: fires its completion and starts

@@ -104,7 +104,8 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
     if (profiles.count(key) > 0) {
       continue;
     }
-    profiler::ProfileOptions opts = config.profile_options;
+    // Default warm-up and measured request counts, the run's launch cost.
+    profiler::ProfileOptions opts;
     opts.launch_overhead_us = config.launch_overhead_us;
     auto profile = std::make_unique<profiler::WorkloadProfile>(
         profiler::ProfileWorkload(config.device, client.workload, opts));
@@ -252,8 +253,8 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
       // Created after Attach so scheduler stream ids match a non-paging run
       // exactly (the inertness property: a fitting collocation with paging
       // enabled is bit-identical to one without).
-      pager = std::make_unique<memsub::UnifiedMemoryPager>(&sim, &rt->device(), config.paging,
-                                                           config.telemetry);
+      pager =
+          std::make_unique<memsub::UnifiedMemoryPager>(&sim, &rt->device(), config.telemetry);
       // Pinned clients claim their frames first so unpinned pre-warm can
       // never steal them.
       for (int pass = 0; pass < 2; ++pass) {

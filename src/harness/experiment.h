@@ -72,7 +72,6 @@ struct ExperimentConfig {
   DurationUs duration_us = SecToUs(20.0);  // measurement window after warmup
   DurationUs launch_overhead_us = 6.0;     // host cost per intercepted op
   std::uint64_t seed = 42;
-  profiler::ProfileOptions profile_options;
   // §5.1.3 extension: schedule pending PCIe copies by stream priority.
   bool pcie_priority_scheduling = false;
   // Fault scenario injected into the run (src/fault). Client ids in the plan

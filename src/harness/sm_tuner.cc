@@ -34,7 +34,7 @@ SmTunerResult TuneSmThreshold(ExperimentConfig config, const SmTunerOptions& opt
     dedicated.scheduler = SchedulerKind::kDedicated;
     result.hp_dedicated_metric = RunExperiment(dedicated).hp().throughput_rps;
   }
-  const double floor = (1.0 - options.max_hp_degradation) * result.hp_dedicated_metric;
+  const double floor = (1.0 - kMaxHpDegradation) * result.hp_dedicated_metric;
 
   // Search range: [0, max sm_needed over all best-effort kernels] (§5.1.1).
   // The schedule_be() rule is strict (`sm_needed < SM_THRESHOLD`), so the

@@ -30,10 +30,11 @@ struct SmTunerResult {
   std::vector<SmTunerStep> steps;    // binary-search trace
 };
 
+// Maximum tolerated hp throughput loss vs dedicated (paper: within 16% for
+// train-train, §6.2.2).
+constexpr double kMaxHpDegradation = 0.16;
+
 struct SmTunerOptions {
-  // Maximum tolerated hp throughput loss vs dedicated (paper: within 16% for
-  // train-train, §6.2.2).
-  double max_hp_degradation = 0.16;
   // Probe run length (shorter than full experiments; tuning is iterative).
   DurationUs probe_duration_us = SecToUs(5.0);
 };

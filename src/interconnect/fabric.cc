@@ -154,12 +154,6 @@ int Fabric::ActiveTransfers() const {
   return static_cast<int>(active_.size() + setup_.size());
 }
 
-int Fabric::ActiveOnLink(LinkId link, bool forward) const {
-  const std::size_t index = DirIndex(Hop{link, forward});
-  ORION_CHECK(index < dirs_.size());
-  return dirs_[index].count;
-}
-
 double Fabric::BytesMoved(LinkId link, bool forward) const {
   const std::size_t index = DirIndex(Hop{link, forward});
   ORION_CHECK(index < bytes_moved_.size());
@@ -179,12 +173,6 @@ void Fabric::SetLinkFactor(LinkId link, bool forward, double factor) {
   MarkDirty(index);
   RefreshRates();
   RetireAndReschedule();
-}
-
-double Fabric::LinkFactor(LinkId link, bool forward) const {
-  const std::size_t index = DirIndex(Hop{link, forward});
-  ORION_CHECK(index < link_factor_.size());
-  return link_factor_[index];
 }
 
 bool Fabric::GpuAlive(int gpu) const {

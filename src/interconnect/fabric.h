@@ -83,8 +83,6 @@ class Fabric : public gpusim::HostLinkModel {
 
   // Transfers currently in flight (setup phase included).
   int ActiveTransfers() const;
-  // Transfers currently streaming on `link` in the given direction.
-  int ActiveOnLink(LinkId link, bool forward) const;
   // Cumulative payload bytes that have crossed `link` in the given direction
   // since construction. (A double: bytes accrue fluidly.)
   double BytesMoved(LinkId link, bool forward) const;
@@ -97,7 +95,6 @@ class Fabric : public gpusim::HostLinkModel {
   // keep their route and resume when the factor comes back, so a flap costs
   // only the outage interval. Affected rates are recomputed immediately.
   void SetLinkFactor(LinkId link, bool forward, double factor);
-  double LinkFactor(LinkId link, bool forward) const;
   // A GPU is alive while at least one direction of at least one of its links
   // carries bandwidth. FaultKind::kGpuDown zeroes every link of the GPU, so
   // this is how the collective engine distinguishes a dead peer from a flap.

@@ -1,9 +1,12 @@
 #include "src/profiler/profiler.h"
 
+#include <charconv>
+#include <cmath>
 #include <istream>
 #include <memory>
 #include <ostream>
-#include <sstream>
+#include <string_view>
+#include <system_error>
 #include <utility>
 
 #include "src/common/check.h"
@@ -193,45 +196,100 @@ void SaveProfile(const WorkloadProfile& profile, std::ostream& os) {
 
 namespace {
 
-std::string ReadValue(std::istream& is, const std::string& key) {
-  std::string line;
-  ORION_CHECK_MSG(std::getline(is, line).good(), "truncated profile file at key " << key);
-  const auto eq = line.find('=');
-  ORION_CHECK_MSG(eq != std::string::npos && line.substr(0, eq) == key,
-                  "expected key " << key << ", got line: " << line);
-  return line.substr(eq + 1);
-}
+// Reads a profile file line by line; every rejection names the line number.
+class ProfileReader {
+ public:
+  explicit ProfileReader(std::istream& is) : is_(is) {}
+
+  std::string NextLine(const std::string& what) {
+    std::string line;
+    ++line_;
+    ORION_CHECK_MSG(std::getline(is_, line).good(),
+                    "profile line " << line_ << ": truncated file, expected " << what);
+    return line;
+  }
+
+  // The value of a `key=value` line.
+  std::string Value(const std::string& key) {
+    const std::string line = NextLine(key);
+    const auto eq = line.find('=');
+    ORION_CHECK_MSG(eq != std::string::npos && line.substr(0, eq) == key,
+                    "profile line " << line_ << ": expected key " << key
+                                    << ", got line: " << line);
+    return line.substr(eq + 1);
+  }
+
+  // Parses all of `text` as a T: a sign on an unsigned value, overflow and
+  // trailing junk are rejected.
+  template <typename T>
+  T Parse(std::string_view text, const std::string& what) const {
+    T value{};
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    ORION_CHECK_MSG(ec == std::errc() && ptr == end,
+                    "profile line " << line_ << ": invalid " << what << " '" << text << "'");
+    return value;
+  }
+
+  // A duration or utilization: finite and non-negative.
+  double ParseAmount(std::string_view text, const std::string& what) const {
+    const double value = Parse<double>(text, what);
+    ORION_CHECK_MSG(std::isfinite(value) && value >= 0.0,
+                    "profile line " << line_ << ": " << what
+                                    << " must be finite and non-negative, got " << value);
+    return value;
+  }
+
+  // A `key=value` line whose value is an amount.
+  double Amount(const std::string& key) { return ParseAmount(Value(key), key); }
+
+  int line() const { return line_; }
+
+ private:
+  std::istream& is_;
+  int line_ = 0;
+};
 
 }  // namespace
 
 WorkloadProfile LoadProfile(std::istream& is) {
+  ProfileReader reader(is);
   WorkloadProfile profile;
-  profile.workload_name = ReadValue(is, "workload");
-  profile.device_name = ReadValue(is, "device");
-  profile.request_latency_us = std::stod(ReadValue(is, "request_latency_us"));
-  profile.avg_compute_util = std::stod(ReadValue(is, "avg_compute_util"));
-  profile.avg_membw_util = std::stod(ReadValue(is, "avg_membw_util"));
-  profile.avg_sm_busy = std::stod(ReadValue(is, "avg_sm_busy"));
-  const std::size_t count = std::stoul(ReadValue(is, "kernels"));
+  profile.workload_name = reader.Value("workload");
+  profile.device_name = reader.Value("device");
+  profile.request_latency_us = reader.Amount("request_latency_us");
+  profile.avg_compute_util = reader.Amount("avg_compute_util");
+  profile.avg_membw_util = reader.Amount("avg_membw_util");
+  profile.avg_sm_busy = reader.Amount("avg_sm_busy");
+  const auto count = reader.Parse<std::size_t>(reader.Value("kernels"), "kernels");
   for (std::size_t i = 0; i < count; ++i) {
-    std::string line;
-    ORION_CHECK_MSG(std::getline(is, line).good(), "truncated kernel list");
-    std::istringstream fields(line);
-    std::string field;
+    const std::string line = reader.NextLine("kernel " + std::to_string(i));
+    // id,name,duration_us,compute_util,membw_util,profile,sm_needed
+    std::vector<std::string_view> fields;
+    std::string_view rest(line);
+    for (std::size_t comma; (comma = rest.find(',')) != std::string_view::npos;) {
+      fields.push_back(rest.substr(0, comma));
+      rest.remove_prefix(comma + 1);
+    }
+    fields.push_back(rest);
+    ORION_CHECK_MSG(fields.size() == 7, "profile line " << reader.line()
+                                                        << ": expected 7 fields, got "
+                                                        << fields.size());
     KernelProfile kp;
-    ORION_CHECK(std::getline(fields, field, ','));
-    kp.kernel_id = std::stoull(field);
-    ORION_CHECK(std::getline(fields, kp.name, ','));
-    ORION_CHECK(std::getline(fields, field, ','));
-    kp.duration_us = std::stod(field);
-    ORION_CHECK(std::getline(fields, field, ','));
-    kp.compute_util = std::stod(field);
-    ORION_CHECK(std::getline(fields, field, ','));
-    kp.membw_util = std::stod(field);
-    ORION_CHECK(std::getline(fields, field, ','));
-    kp.profile = static_cast<gpusim::ResourceProfile>(std::stoi(field));
-    ORION_CHECK(std::getline(fields, field, ','));
-    kp.sm_needed = std::stoi(field);
+    kp.kernel_id = reader.Parse<std::uint64_t>(fields[0], "kernel id");
+    kp.name = std::string(fields[1]);
+    kp.duration_us = reader.ParseAmount(fields[2], "duration_us");
+    kp.compute_util = reader.ParseAmount(fields[3], "compute_util");
+    kp.membw_util = reader.ParseAmount(fields[4], "membw_util");
+    const int resource = reader.Parse<int>(fields[5], "profile");
+    ORION_CHECK_MSG(resource >= static_cast<int>(gpusim::ResourceProfile::kComputeBound) &&
+                        resource <= static_cast<int>(gpusim::ResourceProfile::kUnknown),
+                    "profile line " << reader.line() << ": profile " << resource
+                                    << " out of range");
+    kp.profile = static_cast<gpusim::ResourceProfile>(resource);
+    kp.sm_needed = reader.Parse<int>(fields[6], "sm_needed");
+    ORION_CHECK_MSG(kp.sm_needed >= 0, "profile line " << reader.line()
+                                                       << ": negative sm_needed " << kp.sm_needed);
     profile.kernels.push_back(std::move(kp));
   }
   profile.RebuildIndex();

@@ -15,12 +15,8 @@ const char* OpTypeName(OpType type) {
       return "memcpy_h2d";
     case OpType::kMemcpyD2H:
       return "memcpy_d2h";
-    case OpType::kMemset:
-      return "memset";
     case OpType::kMalloc:
       return "malloc";
-    case OpType::kFree:
-      return "free";
     case OpType::kGraphLaunch:
       return "graph";
   }
@@ -59,9 +55,6 @@ void GpuRuntime::Submit(const Op& op, gpusim::StreamId stream, CompletionCb done
       device_.EnqueueMemcpy(stream, op.bytes, gpusim::MemcpyKind::kDeviceToHost,
                             std::move(done));
       return;
-    case OpType::kMemset:
-      device_.EnqueueMemset(stream, op.bytes, std::move(done));
-      return;
     case OpType::kMalloc: {
       // cudaMalloc synchronises the device (§5.1.3), then reserves memory,
       // attributed to the issuing client so a crash can reclaim it.
@@ -72,18 +65,6 @@ void GpuRuntime::Submit(const Op& op, gpusim::StreamId stream, CompletionCb done
         ORION_CHECK_MSG(handle != kInvalidMemHandle,
                         "device OOM: requested " << bytes << "B with " << memory_.available()
                                                  << "B available");
-        if (done) {
-          done();
-        }
-      });
-      return;
-    }
-    case OpType::kFree: {
-      // The harness frees by size rather than by handle: it models framework
-      // allocator behaviour coarsely. A free of N bytes synchronises the
-      // device, then releases the oldest-fit accounting entry. We keep exact
-      // handle-based frees on the MemoryManager API for library users.
-      device_.SynchronizeDevice([done = std::move(done)]() mutable {
         if (done) {
           done();
         }

@@ -4,9 +4,9 @@
 // functions (§5.3). Schedulers submit Ops here; the facade maps them onto
 // device streams, preserving the semantics described in §5.1.3:
 //   * kernel launches and async memcpys are asynchronous,
-//   * blocking memcpy/memset hold the issuing client until completion
+//   * blocking memcpys hold the issuing client until completion
 //     (enforced by the client driver via the completion callback),
-//   * cudaMalloc / cudaFree synchronise the whole device.
+//   * cudaMalloc synchronises the whole device.
 #ifndef SRC_RUNTIME_GPU_RUNTIME_H_
 #define SRC_RUNTIME_GPU_RUNTIME_H_
 

@@ -20,9 +20,7 @@ enum class OpType : std::uint8_t {
   kKernelLaunch,   // cudaLaunchKernel / CUBLAS / CUDNN entry points
   kMemcpyH2D,      // cudaMemcpy(Async) host -> device
   kMemcpyD2H,      // cudaMemcpy(Async) device -> host
-  kMemset,         // cudaMemset
   kMalloc,         // cudaMalloc  (device-synchronising, §5.1.3)
-  kFree,           // cudaFree    (device-synchronising, §5.1.3)
   // §7 extension: cudaGraphLaunch — a whole captured kernel graph submitted
   // with ONE host call. Cuts per-kernel launch overhead, but the intercepting
   // scheduler can only gate the graph as a unit: kernel-granularity policy

@@ -6,7 +6,6 @@ namespace orion {
 namespace serving {
 
 AdmissionController::AdmissionController(const AdmissionConfig& config) : config_(config) {
-  ORION_CHECK(config.lc_slack > 0.0);
   ORION_CHECK(config.be_slack > 0.0);
 }
 
@@ -15,8 +14,9 @@ bool AdmissionController::Admit(const Request& request, PriorityTier tier,
   if (!config_.enabled) {
     return true;
   }
-  const double slack =
-      tier == PriorityTier::kLatencyCritical ? config_.lc_slack : config_.be_slack;
+  // Latency-critical services are shed exactly at the predicted deadline miss.
+  constexpr double kLcSlack = 1.0;
+  const double slack = tier == PriorityTier::kLatencyCritical ? kLcSlack : config_.be_slack;
   const DurationUs slo = request.deadline_us - request.arrival_us;
   const TimeUs predicted_completion = request.arrival_us + predicted_wait_us + service_us;
   return predicted_completion <= request.arrival_us + slack * slo;

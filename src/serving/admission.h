@@ -8,10 +8,11 @@
 // and sheds the request at arrival when that prediction exceeds the
 // deadline.
 //
-// Priority tiers map to Orion's streams: best-effort services are shed more
-// eagerly (configurable slack < 1) so latency-critical traffic keeps its
-// headroom during overload — the serving-tier analogue of the scheduler
-// prioritising the hp stream.
+// Priority tiers map to Orion's streams: latency-critical services are shed
+// exactly at the predicted deadline miss, best-effort services more eagerly
+// (configurable slack < 1) so latency-critical traffic keeps its headroom
+// during overload — the serving-tier analogue of the scheduler prioritising
+// the hp stream.
 #ifndef SRC_SERVING_ADMISSION_H_
 #define SRC_SERVING_ADMISSION_H_
 
@@ -23,10 +24,9 @@ namespace serving {
 
 struct AdmissionConfig {
   bool enabled = true;
-  // Shed when predicted completion > arrival + slack * slo. 1.0 sheds
-  // exactly at the predicted deadline miss; lower values shed earlier.
-  double lc_slack = 1.0;   // latency-critical services
-  double be_slack = 0.7;   // best-effort services yield headroom first
+  // Best-effort services are shed when predicted completion > arrival +
+  // be_slack * slo, so values below 1.0 shed them before their deadline miss.
+  double be_slack = 0.7;
 };
 
 class AdmissionController {

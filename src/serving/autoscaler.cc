@@ -5,18 +5,6 @@
 namespace orion {
 namespace serving {
 
-const char* ScaleDecisionName(ScaleDecision decision) {
-  switch (decision) {
-    case ScaleDecision::kHold:
-      return "hold";
-    case ScaleDecision::kUp:
-      return "up";
-    case ScaleDecision::kDown:
-      return "down";
-  }
-  return "unknown";
-}
-
 double WindowAttainment(const ModelWindowSignals& signals) {
   if (signals.completions == 0) {
     return signals.arrivals == 0 ? 1.0 : 0.0;
@@ -53,20 +41,26 @@ ScaleDecision DecideWithReason(const AutoscalerConfig& config,
   if (!config.enabled) {
     return ScaleDecision::kHold;
   }
+  // Scale up when the window's attainment dips below the target or the mean
+  // replica busy fraction exceeds the scale-up bound; scale down only when
+  // attainment holds and the busy fraction is under the scale-down bound.
+  constexpr double kTargetAttainment = 0.95;
+  constexpr double kScaleUpUtilization = 0.85;
+  constexpr double kScaleDownUtilization = 0.35;
   const int total = signals.active_replicas + signals.pending_replicas;
   const double attainment = WindowAttainment(signals);
 
-  const bool overloaded = signals.shed > 0 || attainment < config.target_attainment ||
-                          signals.utilization > config.scale_up_utilization;
+  const bool overloaded = signals.shed > 0 || attainment < kTargetAttainment ||
+                          signals.utilization > kScaleUpUtilization;
   if (overloaded && total < signals.max_replicas && signals.pending_replicas == 0) {
     *reason = signals.shed > 0                             ? ScaleReason::kShedding
-              : attainment < config.target_attainment      ? ScaleReason::kAttainment
+              : attainment < kTargetAttainment             ? ScaleReason::kAttainment
                                                            : ScaleReason::kUtilizationHigh;
     return ScaleDecision::kUp;
   }
 
-  const bool healthy = signals.shed == 0 && attainment >= config.target_attainment &&
-                       signals.utilization < config.scale_down_utilization;
+  const bool healthy = signals.shed == 0 && attainment >= kTargetAttainment &&
+                       signals.utilization < kScaleDownUtilization;
   if (healthy && signals.pending_replicas == 0 && signals.active_replicas > signals.min_replicas) {
     *reason = ScaleReason::kIdleHealthy;
     return ScaleDecision::kDown;

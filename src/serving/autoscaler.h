@@ -25,9 +25,6 @@ namespace serving {
 struct AutoscalerConfig {
   bool enabled = false;
   DurationUs eval_period_us = SecToUs(0.5);
-  double target_attainment = 0.95;     // scale up when the window dips below
-  double scale_up_utilization = 0.85;  // mean replica busy fraction
-  double scale_down_utilization = 0.35;
 };
 
 // One model service's signals over the last evaluation window.
@@ -45,8 +42,6 @@ struct ModelWindowSignals {
 };
 
 enum class ScaleDecision { kHold, kUp, kDown };
-
-const char* ScaleDecisionName(ScaleDecision decision);
 
 // Which signal drove a decision — exported as the `reason` attribute on the
 // serving control track's scale-up/-down instants so a trace answers not

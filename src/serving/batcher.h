@@ -7,13 +7,7 @@
 // the roofline gives (batch_cost.h). With batching disabled every dispatch
 // takes exactly one request.
 //
-// Queue order is FIFO by default. With `edf` set, the queue is kept in
-// earliest-deadline-first order instead (ties break FIFO by request id), so
-// under overload the batch drains the requests that can still make their
-// SLO before the ones that are already doomed — the request-level analogue
-// of deadline scheduling. Linger semantics are unchanged: the bound is
-// still measured from the oldest *enqueue* time in the queue, whatever its
-// position after deadline sorting.
+// Queue order is FIFO.
 //
 // The batcher is pure queue logic — the serving engine owns the clock and
 // the linger timers, which keeps this class directly unit-testable.
@@ -33,7 +27,6 @@ struct BatchingConfig {
   bool enabled = true;
   int max_batch_size = 8;
   DurationUs max_queue_delay_us = 2000.0;  // linger bound from oldest enqueue
-  bool edf = false;  // earliest-deadline-first queue order (default FIFO)
 };
 
 // Why a dispatch fired; recorded as the `reason` attribute on batch spans.
@@ -64,8 +57,7 @@ class DynamicBatcher {
   // Only meaningful when !empty().
   TimeUs LingerDeadline() const;
 
-  // Removes and returns the next batch (up to max_batch_size requests, FIFO
-  // or deadline order per config.edf).
+  // Removes and returns the next batch (up to max_batch_size requests, FIFO).
   std::vector<Request> TakeBatch();
   // Allocation-free variant for the dispatch hot path: fills `out` (cleared
   // first, capacity retained) with the same batch TakeBatch would return.
@@ -80,10 +72,8 @@ class DynamicBatcher {
   const Request& Front() const;
   Request PopFront();
 
-  // Puts an evicted (or KV-rejected) sequence back at the head of the line:
-  // front of a FIFO queue, (deadline, id) position under EDF — an evicted
-  // sequence keeps its original deadline, so EDF naturally resumes it before
-  // newer arrivals. enqueue_us is preserved (linger fairness).
+  // Puts an evicted (or KV-rejected) sequence back at the head of the line.
+  // enqueue_us is preserved (linger fairness).
   void Requeue(Request request);
 
   bool empty() const { return queue_.empty(); }

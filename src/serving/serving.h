@@ -53,7 +53,7 @@ namespace serving {
 // kDiurnal is the non-stationary shape for multi-hour datacenter runs: a
 // sinusoidal daily wave with MMPP bursts (trace::DiurnalArrivals),
 // parameterized by ModelServiceConfig::diurnal.
-enum class ArrivalKind : std::uint8_t { kUniform, kPoisson, kApollo, kDiurnal };
+enum class ArrivalKind : std::uint8_t { kPoisson, kApollo, kDiurnal };
 
 struct ModelServiceConfig {
   workloads::WorkloadSpec workload;  // per-request work; task must be inference
@@ -88,11 +88,10 @@ struct ServingConfig {
   AutoscalerConfig autoscaler;
 
   // Replica deaths (kGpuDown / kClientCrash, where `client` is the replica
-  // id) drive failover; other fault kinds are counted as skipped.
+  // id) drive failover; other fault kinds are counted as skipped. Every
+  // replica lost to a fault gets a replacement on a surviving GPU
+  // (independent of the autoscaler).
   fault::FaultPlan fault_plan;
-  // Provision a replacement replica on a surviving GPU for every replica
-  // lost to a fault (independent of the autoscaler).
-  bool replace_lost_replicas = true;
 
   DurationUs warmup_us = SecToUs(1.0);
   DurationUs duration_us = SecToUs(20.0);  // measurement window after warmup
@@ -167,9 +166,6 @@ struct ServingResult {
   // fleet cost the autoscaler is trying to minimise.
   double replica_seconds = 0.0;
 
-  std::size_t TotalOffered() const;
-  std::size_t TotalCompleted() const;
-  std::size_t TotalShed() const;
   double MeanAttainment() const;  // offered-weighted across services
 };
 

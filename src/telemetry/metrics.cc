@@ -83,13 +83,6 @@ double MetricRegistry::GaugeValue(const std::string& name, const Labels& labels)
   return metric != nullptr && metric->kind == MetricKind::kGauge ? metric->gauge.value() : 0.0;
 }
 
-const Histogram* MetricRegistry::FindHistogram(const std::string& name,
-                                               const Labels& labels) const {
-  const Metric* metric = Find(name, labels);
-  return metric != nullptr && metric->kind == MetricKind::kHistogram ? &metric->histogram
-                                                                     : nullptr;
-}
-
 std::vector<MetricRow> MetricRegistry::Snapshot() const {
   std::vector<MetricRow> rows;
   rows.reserve(metrics_.size());

@@ -103,10 +103,9 @@ class MetricRegistry {
   Gauge* GetGauge(const std::string& name, const Labels& labels = {});
   Histogram* GetHistogram(const std::string& name, const Labels& labels = {});
 
-  // Lookup without creating; 0.0 / nullptr when absent (tests, finalizers).
+  // Lookup without creating; 0.0 when absent (tests, finalizers).
   double CounterValue(const std::string& name, const Labels& labels = {}) const;
   double GaugeValue(const std::string& name, const Labels& labels = {}) const;
-  const Histogram* FindHistogram(const std::string& name, const Labels& labels = {}) const;
 
   // Deterministic snapshot, sorted by (name, labels).
   std::vector<MetricRow> Snapshot() const;

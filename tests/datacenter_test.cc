@@ -111,21 +111,6 @@ TEST(ClusterTopologyTest, NodeMajorGpuIndexing) {
   EXPECT_EQ(topo.LocalGpu(7), 3);
 }
 
-TEST(ClusterTopologyTest, NetworkIsANicStar) {
-  ClusterSpec spec;
-  spec.num_nodes = 4;
-  spec.gpus_per_node = 2;
-  spec.nic_gbps = 25.0;
-  const ClusterTopology topo(spec);
-  const interconnect::NodeTopology net = topo.MakeNetwork();
-  // One NIC link per node, addressable for fault injection.
-  for (int n = 0; n < spec.num_nodes; ++n) {
-    const interconnect::LinkId link = topo.NicLink(n);
-    EXPECT_EQ(net.links()[static_cast<std::size_t>(link)].kind,
-              interconnect::LinkKind::kNic);
-  }
-}
-
 // --- N=1 equivalence: the compatibility contract of the engine split. ---
 
 TEST(DatacenterTest, SingleNodeClusterReproducesRunServingExactly) {
@@ -204,28 +189,17 @@ TEST(DatacenterTest, LeastOutstandingSpreadsLoadAcrossNodes) {
   }
 }
 
-TEST(DatacenterTest, RoundRobinNodePolicyAlsoBalances) {
-  ClusterConfig config = SmallCluster(3, 2);
-  config.serving.models[0].initial_replicas = 6;
-  config.serving.models[0].max_replicas = 8;
-  config.node_policy = NodePolicy::kRoundRobin;
-  const ClusterResult result = RunCluster(config);
-  for (const NodeSummary& node : result.nodes) {
-    EXPECT_GT(node.requests, 0u);
-  }
-  EXPECT_GE(result.serving.models[0].slo_attainment, 0.85);
-}
-
 TEST(DatacenterTest, NetworkLatencyShowsUpInEndToEndLatency) {
-  ClusterConfig networked = SmallCluster(2, 2);
-  ClusterConfig instant = SmallCluster(2, 2);
-  instant.cluster.model_network = false;
-  const ClusterResult with_net = RunCluster(networked);
-  const ClusterResult without = RunCluster(instant);
-  // Two NIC hops per request: the networked mean latency is strictly larger.
-  EXPECT_GT(with_net.serving.models[0].latency.mean(),
-            without.serving.models[0].latency.mean());
-  EXPECT_EQ(without.requests_forwarded, 0u);
+  ClusterConfig fast_nic = SmallCluster(2, 2);
+  ClusterConfig slow_nic = SmallCluster(2, 2);
+  slow_nic.cluster.nic_gbps = 0.5;
+  const ClusterResult fast = RunCluster(fast_nic);
+  const ClusterResult slow = RunCluster(slow_nic);
+  // Both NIC legs cross the wire: at 0.5 GB/s the 32 KiB request and
+  // 128 KiB response add ~0.3 ms of wire time to every request.
+  EXPECT_GT(fast.requests_forwarded, 0u);
+  EXPECT_GT(slow.serving.models[0].latency.mean(),
+            fast.serving.models[0].latency.mean() + 250.0);
 }
 
 // --- Node-granularity faults. ---
@@ -481,13 +455,6 @@ TEST(DatacenterGoldenTest, NoRequestLostUnderNodeFaultChurn) {
     EXPECT_EQ(m.total_offered,
               m.total_completed + m.total_shed + m.total_dropped + m.left_in_system);
   }
-}
-
-TEST(DatacenterGoldenTest, WithoutANetworkNothingIsForwarded) {
-  ClusterConfig config = GoldenServing(2, 42u);
-  config.cluster.model_network = false;
-  const ClusterResult result = ExpectGolden(config, 0xc773e56ad625c4a1ULL);
-  EXPECT_EQ(result.requests_forwarded, 0u);
 }
 
 }  // namespace

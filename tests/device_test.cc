@@ -268,16 +268,6 @@ TEST_F(DeviceTest, SynchronizeIdleDeviceFiresImmediately) {
   EXPECT_DOUBLE_EQ(synced, 0.0);
 }
 
-TEST_F(DeviceTest, MemsetCompletes) {
-  Device device(&sim_, spec_);
-  const StreamId stream = device.CreateStream();
-  TimeUs done = -1.0;
-  device.EnqueueMemset(stream, 9 * 1000 * 1000, [&]() { done = sim_.now(); });
-  sim_.RunUntilIdle();
-  EXPECT_GT(done, 0.0);
-  EXPECT_LT(done, 100.0);  // ~10us at 900 GB/s + overhead
-}
-
 TEST_F(DeviceTest, UtilizationAveragesReflectLoad) {
   Device device(&sim_, spec_);
   const StreamId stream = device.CreateStream();

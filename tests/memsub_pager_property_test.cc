@@ -141,9 +141,7 @@ ChurnOutcome RunChurn(std::uint64_t seed, bool check_shadow) {
   constexpr int kClients = 5;
   Simulator sim;
   gpusim::Device device(&sim, SmallDevice(kCapacityPages));
-  PagingOptions options;
-  options.enabled = true;
-  UnifiedMemoryPager pager(&sim, &device, options);
+  UnifiedMemoryPager pager(&sim, &device);
   ShadowPager shadow(kCapacityPages);
 
   Rng rng(seed);
@@ -228,9 +226,7 @@ TEST(PagerPropertyTest, SameSeedChurnReplaysBitIdentically) {
 TEST(PagerTest, FittingCollocationIsInert) {
   Simulator sim;
   gpusim::Device device(&sim, SmallDevice(32));
-  PagingOptions options;
-  options.enabled = true;
-  UnifiedMemoryPager pager(&sim, &device, options);
+  UnifiedMemoryPager pager(&sim, &device);
   pager.RegisterClient(0, "a", 16 * kPage, /*pinned=*/false, /*dirty_on_touch=*/true);
   pager.RegisterClient(1, "b", 16 * kPage, /*pinned=*/false, /*dirty_on_touch=*/false);
   EXPECT_FALSE(pager.oversubscribed());
@@ -253,9 +249,7 @@ TEST(PagerTest, CyclicScanOverCapacityFaultsEveryPage) {
   // the device faults every page of every pass after the first.
   Simulator sim;
   gpusim::Device device(&sim, SmallDevice(8));
-  PagingOptions options;
-  options.enabled = true;
-  UnifiedMemoryPager pager(&sim, &device, options);
+  UnifiedMemoryPager pager(&sim, &device);
   pager.RegisterClient(0, "scan", 9 * kPage, /*pinned=*/false, /*dirty_on_touch=*/false);
   EXPECT_TRUE(pager.oversubscribed());
   bool completed = false;
@@ -271,9 +265,7 @@ TEST(PagerTest, CyclicScanOverCapacityFaultsEveryPage) {
 TEST(PagerTest, DirtyEvictionsPayWritebacks) {
   Simulator sim;
   gpusim::Device device(&sim, SmallDevice(8));
-  PagingOptions options;
-  options.enabled = true;
-  UnifiedMemoryPager pager(&sim, &device, options);
+  UnifiedMemoryPager pager(&sim, &device);
   pager.RegisterClient(0, "train", 6 * kPage, /*pinned=*/false, /*dirty_on_touch=*/true);
   pager.RegisterClient(1, "infer", 6 * kPage, /*pinned=*/false, /*dirty_on_touch=*/false);
   pager.Access(0, []() {});
@@ -289,9 +281,7 @@ TEST(PagerTest, DirtyEvictionsPayWritebacks) {
 TEST(PagerTest, ReleaseFreesFramesImmediately) {
   Simulator sim;
   gpusim::Device device(&sim, SmallDevice(8));
-  PagingOptions options;
-  options.enabled = true;
-  UnifiedMemoryPager pager(&sim, &device, options);
+  UnifiedMemoryPager pager(&sim, &device);
   pager.RegisterClient(0, "a", 8 * kPage, /*pinned=*/false, /*dirty_on_touch=*/true);
   pager.RegisterClient(1, "b", 8 * kPage, /*pinned=*/false, /*dirty_on_touch=*/false);
   pager.ReleaseClient(0);
@@ -311,9 +301,7 @@ TEST(PagerTest, ReleaseFreesFramesImmediately) {
 TEST(PagerDeathTest, PinnedClientMustFit) {
   Simulator sim;
   gpusim::Device device(&sim, SmallDevice(4));
-  PagingOptions options;
-  options.enabled = true;
-  UnifiedMemoryPager pager(&sim, &device, options);
+  UnifiedMemoryPager pager(&sim, &device);
   EXPECT_DEATH(pager.RegisterClient(0, "big", 5 * kPage, /*pinned=*/true,
                                     /*dirty_on_touch=*/false),
                "does not fit");

@@ -1,8 +1,10 @@
 // Profiler tests: the offline phase measures what the device actually did,
-// classification matches §5.2, and profiles round-trip through files.
+// classification matches §5.2, and profiles round-trip through files whose
+// loader rejects malformed values naming the line.
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "src/profiler/profiler.h"
 
@@ -108,6 +110,73 @@ TEST_F(ProfilerTest, MoreHostOverheadSlowsRequests) {
 TEST_F(ProfilerTest, LoadRejectsCorruptFile) {
   std::stringstream file("not-a-profile\n");
   EXPECT_DEATH((void)LoadProfile(file), "expected key");
+}
+
+// A one-kernel profile file; `header` replaces the line of its key.
+std::string ProfileText(const std::string& kernel_line, const std::string& header = "") {
+  std::string text;
+  for (std::string line : {"workload=w", "device=d", "request_latency_us=10",
+                           "avg_compute_util=0.5", "avg_membw_util=0.25", "avg_sm_busy=0.75",
+                           "kernels=1"}) {
+    if (!header.empty() && header.substr(0, header.find('=')) == line.substr(0, line.find('='))) {
+      line = header;
+    }
+    text += line + "\n";
+  }
+  return text + kernel_line + "\n";
+}
+
+WorkloadProfile LoadText(const std::string& text) {
+  std::stringstream file(text);
+  return LoadProfile(file);
+}
+
+TEST(ProfileLoadTest, HandWrittenFileLoads) {
+  const WorkloadProfile profile = LoadText(ProfileText("7,k,1.5,0.5,0.25,1,4"));
+  EXPECT_DOUBLE_EQ(profile.request_latency_us, 10.0);
+  EXPECT_DOUBLE_EQ(profile.avg_sm_busy, 0.75);
+  ASSERT_EQ(profile.kernels.size(), 1u);
+  EXPECT_EQ(profile.kernels[0].kernel_id, 7u);
+  EXPECT_EQ(profile.kernels[0].name, "k");
+  EXPECT_DOUBLE_EQ(profile.kernels[0].duration_us, 1.5);
+  EXPECT_EQ(profile.kernels[0].profile, gpusim::ResourceProfile::kMemoryBound);
+  EXPECT_EQ(profile.kernels[0].sm_needed, 4);
+}
+
+TEST(ProfileLoadDeathTest, RejectsNonFiniteOrNegativeAmounts) {
+  EXPECT_DEATH((void)LoadText(ProfileText("7,k,inf,0.5,0.25,1,4")),
+               "profile line 8: duration_us must be finite and non-negative");
+  EXPECT_DEATH((void)LoadText(ProfileText("7,k,1.5,0.5,-0.25,1,4")),
+               "profile line 8: membw_util must be finite and non-negative");
+  EXPECT_DEATH((void)LoadText(ProfileText("7,k,1.5,0.5,0.25,1,4", "request_latency_us=nan")),
+               "profile line 3: request_latency_us must be finite and non-negative");
+  EXPECT_DEATH((void)LoadText(ProfileText("7,k,1.5,0.5,0.25,1,4", "avg_compute_util=-1")),
+               "profile line 4: avg_compute_util must be finite and non-negative");
+}
+
+TEST(ProfileLoadDeathTest, RejectsOutOfRangeProfile) {
+  EXPECT_DEATH((void)LoadText(ProfileText("7,k,1.5,0.5,0.25,3,4")),
+               "profile line 8: profile 3 out of range");
+  EXPECT_DEATH((void)LoadText(ProfileText("7,k,1.5,0.5,0.25,-1,4")),
+               "profile line 8: profile -1 out of range");
+}
+
+TEST(ProfileLoadDeathTest, RejectsTrailingJunkAndBadNumbers) {
+  EXPECT_DEATH((void)LoadText(ProfileText("7,k,1.5x,0.5,0.25,1,4")),
+               "profile line 8: invalid duration_us '1.5x'");
+  EXPECT_DEATH((void)LoadText(ProfileText("7,k,1.5,0.5,0.25,1,4,9")),
+               "profile line 8: expected 7 fields, got 8");
+  EXPECT_DEATH((void)LoadText(ProfileText("-7,k,1.5,0.5,0.25,1,4")),
+               "profile line 8: invalid kernel id '-7'");
+  EXPECT_DEATH((void)LoadText(ProfileText("7,k,1.5,0.5,0.25,1,99999999999")),
+               "profile line 8: invalid sm_needed");
+  EXPECT_DEATH((void)LoadText(ProfileText("7,k,1.5,0.5,0.25,1,4", "kernels=1 ")),
+               "profile line 7: invalid kernels '1 '");
+}
+
+TEST(ProfileLoadDeathTest, RejectsTruncatedKernelList) {
+  std::stringstream file(ProfileText("7,k,1.5,0.5,0.25,1,4", "kernels=2"));
+  EXPECT_DEATH((void)LoadProfile(file), "profile line 9: truncated file, expected kernel 1");
 }
 
 }  // namespace

@@ -141,60 +141,6 @@ TEST(BatcherTest, DrainReturnsEverythingInOrder) {
   EXPECT_TRUE(batcher.empty());
 }
 
-Request DeadlineRequest(std::uint64_t id, TimeUs deadline_us) {
-  Request request;
-  request.id = id;
-  request.deadline_us = deadline_us;
-  return request;
-}
-
-// ISSUE satellite: EDF queue order. Under overload (more queued than one
-// batch can take) the batch drains the earliest deadlines first, not FIFO.
-TEST(BatcherTest, EdfDrainsDeadlineOrderUnderOverload) {
-  BatchingConfig config;
-  config.max_batch_size = 2;
-  config.edf = true;
-  DynamicBatcher edf(config);
-  config.edf = false;
-  DynamicBatcher fifo(config);
-  const double deadlines[] = {5000.0, 1000.0, 4000.0, 2000.0, 3000.0};
-  for (std::uint64_t i = 0; i < 5; ++i) {
-    edf.Enqueue(DeadlineRequest(i, deadlines[i]), /*now=*/0.0);
-    fifo.Enqueue(DeadlineRequest(i, deadlines[i]), /*now=*/0.0);
-  }
-  // EDF: batches come out in global deadline order across dispatches.
-  auto batch = edf.TakeBatch();
-  ASSERT_EQ(batch.size(), 2u);
-  EXPECT_DOUBLE_EQ(batch[0].deadline_us, 1000.0);
-  EXPECT_DOUBLE_EQ(batch[1].deadline_us, 2000.0);
-  batch = edf.TakeBatch();
-  EXPECT_DOUBLE_EQ(batch[0].deadline_us, 3000.0);
-  EXPECT_DOUBLE_EQ(batch[1].deadline_us, 4000.0);
-  // FIFO control: arrival order, deadlines interleaved.
-  batch = fifo.TakeBatch();
-  EXPECT_DOUBLE_EQ(batch[0].deadline_us, 5000.0);
-  EXPECT_DOUBLE_EQ(batch[1].deadline_us, 1000.0);
-}
-
-TEST(BatcherTest, EdfTiesBreakFifoAndLingerTracksOldestEnqueue) {
-  BatchingConfig config;
-  config.max_batch_size = 8;
-  config.max_queue_delay_us = 1000.0;
-  config.edf = true;
-  DynamicBatcher batcher(config);
-  batcher.Enqueue(DeadlineRequest(7, 500.0), /*now=*/100.0);
-  batcher.Enqueue(DeadlineRequest(8, 500.0), /*now=*/300.0);  // equal deadline
-  batcher.Enqueue(DeadlineRequest(9, 100.0), /*now=*/400.0);  // earliest, last in
-  // Linger bound still runs from the oldest enqueue time (t=100), even
-  // though request 9 sorted to the front.
-  EXPECT_DOUBLE_EQ(batcher.LingerDeadline(), 1100.0);
-  const auto batch = batcher.TakeBatch();
-  ASSERT_EQ(batch.size(), 3u);
-  EXPECT_EQ(batch[0].id, 9u);
-  EXPECT_EQ(batch[1].id, 7u);  // tie with 8: FIFO by id
-  EXPECT_EQ(batch[2].id, 8u);
-}
-
 TEST(BatcherTest, WhyDispatchNamesTheTrigger) {
   BatchingConfig config;
   config.max_batch_size = 2;
@@ -589,24 +535,6 @@ TEST(ServingTest, TotalGpuLossRecoversViaReplacement) {
   EXPECT_GT(model.completed, model.offered * 8 / 10);
 }
 
-TEST(ServingTest, ReplicaCrashWithoutReplacementDropsOnlyWhenAlone) {
-  ServingConfig config = LightConfig();
-  config.replace_lost_replicas = false;
-  fault::FaultEvent crash;
-  crash.kind = fault::FaultKind::kClientCrash;
-  crash.at_us = SecToUs(2.0);
-  crash.client = 0;
-  config.fault_plan.events.push_back(crash);
-  const ServingResult result = RunServing(config);
-  const ModelServingResult& model = result.models[0];
-  EXPECT_EQ(result.replicas_lost, 1u);
-  EXPECT_EQ(result.replacements, 0u);
-  EXPECT_EQ(model.final_replicas, 0);
-  // Everything after the crash is dropped; everything before completed.
-  EXPECT_GT(model.total_dropped, 0u);
-  EXPECT_GT(model.total_completed, 0u);
-}
-
 TEST(ServingTest, UnsupportedFaultKindsAreSkipped) {
   ServingConfig config = LightConfig();
   fault::FaultEvent degrade;
@@ -616,20 +544,6 @@ TEST(ServingTest, UnsupportedFaultKindsAreSkipped) {
   const ServingResult result = RunServing(config);
   EXPECT_EQ(result.faults_injected, 0u);
   EXPECT_EQ(result.faults_skipped, 1u);
-}
-
-// With one service every deadline is arrival + SLO, so EDF order equals
-// FIFO order and the whole run must be bit-identical — pins down that the
-// EDF sorted insert is order-preserving where it should be.
-TEST(ServingTest, EdfMatchesFifoForUniformSloWithoutFaults) {
-  ServingConfig fifo = OverloadConfig();
-  ServingConfig edf = OverloadConfig();
-  edf.batching.edf = true;
-  const ServingResult a = RunServing(fifo);
-  const ServingResult b = RunServing(edf);
-  EXPECT_EQ(a.models[0].total_completed, b.models[0].total_completed);
-  EXPECT_EQ(a.models[0].slo_met, b.models[0].slo_met);
-  EXPECT_DOUBLE_EQ(a.models[0].latency.p99(), b.models[0].latency.p99());
 }
 
 TEST(ServingTest, InterferenceAwareRoutingBeatsRoundRobinOnContendedFleet) {

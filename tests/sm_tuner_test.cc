@@ -39,7 +39,7 @@ TEST(SmTunerTest, RespectsHpFloor) {
   options.probe_duration_us = SecToUs(3.0);
   const SmTunerResult result = TuneSmThreshold(TrainTrainConfig(), options);
   EXPECT_GE(result.hp_metric,
-            (1.0 - options.max_hp_degradation) * result.hp_dedicated_metric - 0.5);
+            (1.0 - kMaxHpDegradation) * result.hp_dedicated_metric - 0.5);
 }
 
 TEST(SmTunerTest, TunedThresholdUnlocksBestEffortThroughput) {
