@@ -211,13 +211,6 @@ std::optional<Placement> PlacementEngine::PlaceRoundRobin(const std::vector<JobS
 std::optional<int> PlacementEngine::BestGpuFor(const JobSignature& job,
                                                const std::vector<GpuResidents>& gpus,
                                                std::size_t gpu_memory_bytes,
-                                               int max_jobs_per_gpu) {
-  return BestGpuFor(job, gpus, gpu_memory_bytes, max_jobs_per_gpu, nullptr);
-}
-
-std::optional<int> PlacementEngine::BestGpuFor(const JobSignature& job,
-                                               const std::vector<GpuResidents>& gpus,
-                                               std::size_t gpu_memory_bytes,
                                                int max_jobs_per_gpu,
                                                PlacementScore* score_out) {
   ORION_CHECK(max_jobs_per_gpu >= 1);

@@ -103,11 +103,9 @@ class PlacementEngine {
   // Picks the alive GPU that can host `job` with the least added
   // PairInterference, subject to memory capacity, max_jobs_per_gpu, and the
   // one-latency-critical-job-per-GPU rule; an emptier GPU breaks ties, then
-  // the lowest index. Returns std::nullopt when no GPU fits.
-  static std::optional<int> BestGpuFor(const JobSignature& job,
-                                       const std::vector<GpuResidents>& gpus,
-                                       std::size_t gpu_memory_bytes, int max_jobs_per_gpu);
-
+  // the lowest index. Returns std::nullopt when no GPU fits. When the pick
+  // succeeds and `score_out` is non-null, it receives the pick's score.
+  //
   // The comparable goodness of a BestGpuFor pick: (added interference,
   // resident count), lower is better. The datacenter control plane compares
   // the best placement of several nodes with it — comparing each node's

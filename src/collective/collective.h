@@ -67,7 +67,6 @@ class CollectiveEngine {
 
   // Fault-detection policy; set before starting collectives.
   void set_options(const CollectiveOptions& options) { options_ = options; }
-  const CollectiveOptions& options() const { return options_; }
 
   // Telemetry (src/telemetry): statistics become "collective.*" registry
   // counters/gauges and, with tracing on, every collective is an async span
@@ -90,10 +89,6 @@ class CollectiveEngine {
   std::size_t collectives_completed() const {
     return static_cast<std::size_t>(collectives_completed_->AsCount());
   }
-  std::size_t collectives_inflight() const {
-    return static_cast<std::size_t>(collectives_inflight_->value());
-  }
-  double payload_bytes_total() const { return payload_bytes_total_->value(); }
 
   // --- Fault statistics. ---
   // Ring restarts after a member death.

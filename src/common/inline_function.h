@@ -138,7 +138,7 @@ class InlineFunction<R(Args...), InlineBytes> {
   }
 
   template <typename D>
-  static constexpr bool FitsInline() {
+  static consteval bool FitsInline() {
     return sizeof(D) <= InlineBytes && alignof(D) <= alignof(std::max_align_t) &&
            std::is_nothrow_move_constructible_v<D>;
   }

@@ -20,7 +20,6 @@ class OnlineStats {
   double stddev() const;
   double min() const { return count_ > 0 ? min_ : 0.0; }
   double max() const { return count_ > 0 ? max_ : 0.0; }
-  double sum() const { return sum_; }
 
  private:
   std::size_t count_ = 0;
@@ -28,7 +27,6 @@ class OnlineStats {
   double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-  double sum_ = 0.0;
 };
 
 // Stores every sample so exact percentiles can be computed afterwards.

@@ -1,8 +1,7 @@
 // Console table rendering for benchmark output.
 //
 // Every bench binary prints the rows/series of the paper table or figure it
-// regenerates; this helper keeps the formatting consistent and also supports
-// CSV emission so results can be plotted externally.
+// regenerates; this helper keeps the formatting consistent.
 #ifndef SRC_COMMON_TABLE_H_
 #define SRC_COMMON_TABLE_H_
 
@@ -21,11 +20,6 @@ class Table {
 
   // Renders an aligned ASCII table.
   void Print(std::ostream& os) const;
-
-  // Renders in CSV form (no alignment padding).
-  void PrintCsv(std::ostream& os) const;
-
-  std::size_t num_rows() const { return rows_.size(); }
 
  private:
   std::vector<std::string> headers_;

@@ -82,10 +82,8 @@ class OrionScheduler : public Scheduler {
   // Re-resolves SM_THRESHOLD against the shrunken SM pool.
   void OnDeviceDegraded() override;
 
-  const OrionOptions& options() const { return options_; }
   // Effective SM_THRESHOLD after resolution against the device.
   int sm_threshold() const { return sm_threshold_; }
-  void set_sm_threshold(int threshold) { sm_threshold_ = threshold; }
 
   // Telemetry (src/telemetry): decision statistics live in the hub's metric
   // registry as "orion.*" counters (a private registry when no hub is
@@ -93,21 +91,11 @@ class OrionScheduler : public Scheduler {
   // become instant events on an "orion-sched" track. Call before Attach.
   void set_telemetry(telemetry::Hub* hub) override;
 
-  // Statistics for the overhead/ablation benches. These read the registry
-  // counters — the registry is the single source of truth, not a mirror.
-  std::size_t be_kernels_submitted() const { return CounterCount(be_kernels_submitted_); }
-  std::size_t be_throttle_skips() const { return CounterCount(be_throttle_skips_); }
-  std::size_t be_profile_skips() const { return CounterCount(be_profile_skips_); }
-  // Poll-epoch guard statistics: wake-ups seen vs. wake-ups answered with a
-  // provably redundant scan that was skipped.
-  std::size_t be_polls() const { return CounterCount(be_polls_); }
-  std::size_t be_polls_coalesced() const { return CounterCount(be_polls_coalesced_); }
-
-  // --- Fault statistics. ---
+  // Fault statistics. These read the registry counters, the single source
+  // of truth; the decision statistics ("orion.be_kernels_submitted",
+  // "orion.be_polls", ...) are read from the registry directly.
   std::size_t clients_quarantined() const { return CounterCount(clients_quarantined_); }
   std::size_t runaway_quarantines() const { return CounterCount(runaway_quarantines_); }
-  std::size_t be_ops_dropped() const { return CounterCount(be_ops_dropped_); }
-  std::size_t be_bytes_released() const { return CounterCount(be_bytes_released_); }
   bool client_quarantined(ClientId client) const;
 
  private:
@@ -192,6 +180,8 @@ class OrionScheduler : public Scheduler {
   telemetry::Counter* be_kernels_submitted_ = nullptr;
   telemetry::Counter* be_throttle_skips_ = nullptr;
   telemetry::Counter* be_profile_skips_ = nullptr;
+  // Poll wake-ups seen, and those answered by skipping a provably redundant
+  // scan.
   telemetry::Counter* be_polls_ = nullptr;
   telemetry::Counter* be_polls_coalesced_ = nullptr;
   telemetry::Counter* clients_quarantined_ = nullptr;

@@ -84,13 +84,6 @@ struct ClusterResult {
 
 ClusterResult RunCluster(const ClusterConfig& config);
 
-// True when the two results are indistinguishable down to the last bit:
-// every counter equal, every double bit-identical (std::bit_cast, so -0.0
-// != 0.0 and NaN payloads count), every latency recorder's raw sample
-// sequence identical element-wise and in order. Same-seed runs must satisfy
-// it; the datacenter golden tests digest exactly these fields.
-bool ClusterResultsBitIdentical(const ClusterResult& a, const ClusterResult& b);
-
 }  // namespace datacenter
 }  // namespace orion
 

@@ -8,7 +8,6 @@
 #include "src/datacenter/cluster.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <deque>
@@ -355,7 +354,7 @@ class ClusterEngine : public NodeHost {
       model.label = workloads::WorkloadName(model.cfg.workload);
       for (std::size_t prev = 0; prev < m; ++prev) {
         if (models_[prev]->label == model.label) {
-          model.label += "#" + std::to_string(m);
+          model.label.append("#").append(std::to_string(m));
           break;
         }
       }
@@ -409,11 +408,15 @@ class ClusterEngine : public NodeHost {
       control_track_ = hub_->spans().Track("serving-control");
       gpu_tracks_.reserve(static_cast<std::size_t>(topo_.total_gpus()));
       for (int g = 0; g < topo_.total_gpus(); ++g) {
-        const std::string name =
-            spec_.num_nodes == 1
-                ? "gpu" + std::to_string(g)
-                : "n" + std::to_string(topo_.NodeOfGpu(g)) + "/gpu" +
-                      std::to_string(topo_.LocalGpu(g));
+        // Built by appending: GCC 12's -Wrestrict misfires on an inlined
+        // operator+(const char*, std::string&&) at -O3.
+        std::string name;
+        if (spec_.num_nodes == 1) {
+          name.append("gpu").append(std::to_string(g));
+        } else {
+          name.append("n").append(std::to_string(topo_.NodeOfGpu(g)));
+          name.append("/gpu").append(std::to_string(topo_.LocalGpu(g)));
+        }
         gpu_tracks_.push_back(hub_->spans().Track(name));
       }
     }
@@ -1182,8 +1185,8 @@ class ClusterEngine : public NodeHost {
                           : 1.0;
       out.throughput_rps =
           static_cast<double>(out.completed) / UsToSec(config_.duration_us);
-      out.latency = model.latency->window();
-      out.queueing = model.queueing->window();
+      out.latency = model.latency->recorder();
+      out.queueing = model.queueing->recorder();
       out.batches = static_cast<std::size_t>(model.batches->AsCount());
       out.mean_batch_size =
           out.batches > 0 ? model.batched_requests->value() /
@@ -1194,8 +1197,8 @@ class ClusterEngine : public NodeHost {
         out.prefills = static_cast<std::size_t>(model.prefills->AsCount());
         out.decode_steps = static_cast<std::size_t>(model.decode_steps->AsCount());
         out.kv_evictions = static_cast<std::size_t>(model.kv_evictions->AsCount());
-        out.ttft = model.ttft->window();
-        out.tpot = model.tpot->window();
+        out.ttft = model.ttft->recorder();
+        out.tpot = model.tpot->recorder();
       }
       out.total_offered = static_cast<std::size_t>(model.total_offered->AsCount());
       out.total_completed = static_cast<std::size_t>(model.total_completed->AsCount());
@@ -1317,88 +1320,7 @@ class ClusterEngine : public NodeHost {
   telemetry::Counter* requests_forwarded_c_ = nullptr;    // num_nodes > 1 only
 };
 
-// Bitwise double equality: distinguishes -0.0 from 0.0 and NaN payloads,
-// exactly what "bit-identical" promises.
-bool BitsEq(double a, double b) {
-  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
-}
-
-bool RecordersEq(const LatencyRecorder& a, const LatencyRecorder& b) {
-  const std::vector<double>& sa = a.samples();
-  const std::vector<double>& sb = b.samples();
-  if (sa.size() != sb.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < sa.size(); ++i) {
-    if (!BitsEq(sa[i], sb[i])) {
-      return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace
-
-bool ClusterResultsBitIdentical(const ClusterResult& a, const ClusterResult& b) {
-  const serving::ServingResult& sa = a.serving;
-  const serving::ServingResult& sb = b.serving;
-  if (sa.models.size() != sb.models.size() || !BitsEq(sa.window_us, sb.window_us) ||
-      sa.scale_ups != sb.scale_ups || sa.scale_downs != sb.scale_downs ||
-      sa.scale_failures != sb.scale_failures ||
-      sa.faults_injected != sb.faults_injected ||
-      sa.faults_skipped != sb.faults_skipped ||
-      sa.replicas_lost != sb.replicas_lost ||
-      sa.replacements != sb.replacements ||
-      sa.replacement_failures != sb.replacement_failures ||
-      sa.gpus_alive_end != sb.gpus_alive_end ||
-      !BitsEq(sa.replica_seconds, sb.replica_seconds)) {
-    return false;
-  }
-  for (std::size_t m = 0; m < sa.models.size(); ++m) {
-    const serving::ModelServingResult& ma = sa.models[m];
-    const serving::ModelServingResult& mb = sb.models[m];
-    if (ma.name != mb.name || ma.tier != mb.tier || ma.offered != mb.offered ||
-        ma.completed != mb.completed || ma.slo_met != mb.slo_met ||
-        ma.shed != mb.shed || ma.dropped != mb.dropped ||
-        ma.failed_over != mb.failed_over ||
-        !BitsEq(ma.slo_attainment, mb.slo_attainment) ||
-        !BitsEq(ma.throughput_rps, mb.throughput_rps) ||
-        ma.batches != mb.batches ||
-        !BitsEq(ma.mean_batch_size, mb.mean_batch_size) ||
-        ma.final_replicas != mb.final_replicas || ma.tokens != mb.tokens ||
-        ma.prefills != mb.prefills || ma.decode_steps != mb.decode_steps ||
-        ma.kv_evictions != mb.kv_evictions ||
-        ma.total_offered != mb.total_offered ||
-        ma.total_completed != mb.total_completed ||
-        ma.total_shed != mb.total_shed ||
-        ma.total_dropped != mb.total_dropped ||
-        ma.left_in_system != mb.left_in_system ||
-        !RecordersEq(ma.latency, mb.latency) ||
-        !RecordersEq(ma.queueing, mb.queueing) ||
-        !RecordersEq(ma.ttft, mb.ttft) || !RecordersEq(ma.tpot, mb.tpot)) {
-      return false;
-    }
-  }
-  if (a.nodes.size() != b.nodes.size() ||
-      a.nodes_alive_end != b.nodes_alive_end ||
-      a.node_faults != b.node_faults ||
-      a.requests_forwarded != b.requests_forwarded ||
-      !BitsEq(a.request_bytes_moved, b.request_bytes_moved) ||
-      !BitsEq(a.response_bytes_moved, b.response_bytes_moved)) {
-    return false;
-  }
-  for (std::size_t n = 0; n < a.nodes.size(); ++n) {
-    const NodeSummary& na = a.nodes[n];
-    const NodeSummary& nb = b.nodes[n];
-    if (na.node != nb.node || na.alive_end != nb.alive_end ||
-        na.replicas_created != nb.replicas_created ||
-        na.replicas_killed != nb.replicas_killed ||
-        na.batches != nb.batches || na.requests != nb.requests) {
-      return false;
-    }
-  }
-  return true;
-}
 
 ClusterResult RunCluster(const ClusterConfig& config) {
   ClusterEngine engine(config);

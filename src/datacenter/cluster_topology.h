@@ -16,9 +16,6 @@ class ClusterTopology {
  public:
   explicit ClusterTopology(const ClusterSpec& spec);
 
-  const ClusterSpec& spec() const { return spec_; }
-  int num_nodes() const { return spec_.num_nodes; }
-  int gpus_per_node() const { return spec_.gpus_per_node; }
   int total_gpus() const { return spec_.num_nodes * spec_.gpus_per_node; }
 
   int NodeOfGpu(int global_gpu) const;

@@ -152,7 +152,6 @@ class NodeEngine {
   GpuShard& gpu(int local) { return gpus_[static_cast<std::size_t>(local)]; }
   const GpuShard& gpu(int local) const { return gpus_[static_cast<std::size_t>(local)]; }
 
-  int num_slots() const { return static_cast<int>(replicas_.size()); }
   Replica& replica(int slot) { return replicas_[static_cast<std::size_t>(slot)]; }
   const Replica& replica(int slot) const { return replicas_[static_cast<std::size_t>(slot)]; }
 

@@ -60,7 +60,6 @@ class FaultInjector {
   // before running the simulator.
   void Arm();
 
-  const FaultPlan& plan() const { return plan_; }
   std::size_t injected() const { return CounterCount(injected_); }
   std::size_t skipped() const { return CounterCount(skipped_); }
 

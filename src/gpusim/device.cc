@@ -65,11 +65,6 @@ StreamId Device::CreateStream(int priority) {
   return static_cast<StreamId>(streams_.size() - 1);
 }
 
-int Device::stream_priority(StreamId stream) const {
-  ORION_CHECK(stream >= 0 && stream < static_cast<int>(streams_.size()));
-  return streams_[static_cast<std::size_t>(stream)].priority;
-}
-
 void Device::LaunchKernel(StreamId stream, KernelDesc kernel, CompletionCb done) {
   ORION_CHECK(stream >= 0 && stream < static_cast<int>(streams_.size()));
   ORION_CHECK_MSG(kernel.duration_us >= 0.0, "kernel with negative duration: " << kernel.name);
@@ -168,8 +163,6 @@ int Device::FreeSms() const {
 }
 
 int Device::BusySms() const { return effective_sms_ - FreeSms(); }
-
-bool Device::AnyKernelRunning() const { return !running_.empty(); }
 
 int Device::RunningKernelCount() const { return static_cast<int>(running_.size()); }
 

@@ -83,10 +83,8 @@ class Device {
   Device& operator=(const Device&) = delete;
 
   const DeviceSpec& spec() const { return spec_; }
-  Simulator* simulator() { return sim_; }
 
   StreamId CreateStream(int priority = kPriorityDefault);
-  int stream_priority(StreamId stream) const;
 
   // --- Op submission (asynchronous; `done` fires via a zero-delay event). ---
   // Takes the descriptor by value: callers that std::move it in pay no copy.
@@ -111,7 +109,6 @@ class Device {
   // --- Introspection (used by schedulers, tests, and benches). ---
   int FreeSms() const;
   int BusySms() const;
-  bool AnyKernelRunning() const;
   int RunningKernelCount() const;
   // SMs currently granted to kernels of this stream.
   int StreamBusySms(StreamId stream) const;
@@ -126,7 +123,6 @@ class Device {
   std::size_t memcpys_completed() const { return memcpys_completed_; }
 
   UtilizationTracker& utilization() { return utilization_; }
-  const UtilizationTracker& utilization() const { return utilization_; }
 
   // Installs a sink invoked at each kernel completion with its exec record.
   void set_kernel_trace_sink(KernelTraceSink sink) { trace_sink_ = std::move(sink); }
@@ -137,7 +133,6 @@ class Device {
   // high-priority copy waits at most one chunk, not a whole multi-megabyte
   // batch. Chunks in flight are never preempted.
   void set_pcie_priority_scheduling(bool enabled) { pcie_priority_ = enabled; }
-  bool pcie_priority_scheduling() const { return pcie_priority_; }
 
   // --- Fault injection: partial device degradation (src/fault). ---
   // ECC retirement / thermal capping analogue: the device permanently loses
@@ -153,7 +148,6 @@ class Device {
   void ScaleMembw(double factor);
   // SMs currently present (spec().num_sms minus degradation).
   int effective_sms() const { return effective_sms_; }
-  double membw_factor() const { return membw_factor_; }
 
   // Multi-GPU plumbing (src/interconnect): routes the wire time of every
   // host<->device copy chunk through a shared link fabric, where it contends
@@ -163,7 +157,6 @@ class Device {
   // and priority selection are unaffected. Device-to-device copies stay on
   // the internal path (they never cross the host fabric).
   void AttachHostLink(HostLinkModel* host_link, int gpu_index);
-  int gpu_index() const { return gpu_index_; }
 
   // Exact-equality oracle for the cached resident-set aggregates: when on,
   // every reuse of the cached grant total and progress rates is checked

@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <ostream>
 
-#include "src/common/check.h"
 
 namespace orion {
 namespace gpusim {
@@ -56,21 +55,6 @@ int TraceCollector::RecordInto(Device& device, const std::string& track_name) {
   return track;
 }
 
-void TraceCollector::AddRecord(int track, KernelExecRecord record) {
-  ORION_CHECK(track >= 0 && track < static_cast<int>(track_names_.size()));
-  entries_.push_back(Entry{track, std::move(record)});
-}
-
-std::vector<KernelExecRecord> TraceCollector::TrackRecords(int track) const {
-  std::vector<KernelExecRecord> records;
-  for (const Entry& entry : entries_) {
-    if (entry.track == track) {
-      records.push_back(entry.record);
-    }
-  }
-  return records;
-}
-
 std::size_t TraceCollector::WriteChromeTraceEvents(std::ostream& os, int pid_base,
                                                    bool* first) const {
   std::size_t written = 0;
@@ -100,18 +84,6 @@ std::size_t TraceCollector::WriteChromeTraceEvents(std::ostream& os, int pid_bas
     ++written;
   }
   return written;
-}
-
-void TraceCollector::WriteChromeTrace(std::ostream& os) const {
-  os << "[";
-  bool first = true;
-  if (track_names_.empty()) {
-    // Legacy shape: an empty collector still emits a (single) track header.
-    os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"args\":{\"name\":\"gpu\"}}";
-    first = false;
-  }
-  WriteChromeTraceEvents(os, /*pid_base=*/0, &first);
-  os << "\n]\n";
 }
 
 }  // namespace gpusim

@@ -15,10 +15,10 @@ namespace orion {
 namespace gpusim {
 
 // Collects execution records from any number of devices (one track each,
-// install via RecordInto) and serialises them in the Chrome trace-event JSON
-// array format: one Chrome "process" per device track, one "thread" per
-// stream. A multi-GPU run therefore exports a single merged trace instead of
-// one file per device.
+// install via RecordInto) and serialises them as Chrome trace events: one
+// Chrome "process" per device track, one "thread" per stream. A multi-GPU
+// run therefore exports a single merged trace instead of one file per
+// device. telemetry::WriteChromeTrace writes the whole file.
 class TraceCollector {
  public:
   // Installs this collector as `device`'s kernel trace sink, adding a track.
@@ -27,13 +27,6 @@ class TraceCollector {
   // devices' use. Returns the track index.
   int RecordInto(Device& device, const std::string& track_name = "");
 
-  // Adds an empty track without a device (records appended via AddRecord) —
-  // used by exporters/tests that merge externally collected records.
-  int AddTrack(const std::string& track_name);
-  void AddRecord(int track, KernelExecRecord record);
-
-  const std::vector<std::string>& track_names() const { return track_names_; }
-
   // One collected record with the track it belongs to, in completion order
   // across all devices (the simulator's deterministic event order).
   struct Entry {
@@ -41,23 +34,17 @@ class TraceCollector {
     KernelExecRecord record;
   };
   const std::vector<Entry>& entries() const { return entries_; }
-  std::size_t size() const { return entries_.size(); }
-  void Clear() { entries_.clear(); }
 
-  // Records of one track, in completion order.
-  std::vector<KernelExecRecord> TrackRecords(int track) const;
-
-  // Chrome trace-event format: a JSON array of {"name","ph":"X","ts","dur",
-  // "pid","tid"} events, timestamps in µs, one pid per track (offset by
-  // `pid_base`). Loadable by chrome://tracing and https://ui.perfetto.dev.
-  void WriteChromeTrace(std::ostream& os) const;
-
-  // Emits the same events without the surrounding "[" / "]" so other
-  // exporters (src/telemetry) can merge kernel tracks into a larger trace.
+  // Chrome trace events, without the surrounding "[" / "]" so the telemetry
+  // exporter can merge kernel tracks into a larger trace: a track-name event
+  // per track, then one {"name","ph":"X","ts","dur","pid","tid"} event per
+  // record, timestamps in µs, one pid per track (offset by `pid_base`).
   // Returns the number of events written; `first` tracks comma placement.
   std::size_t WriteChromeTraceEvents(std::ostream& os, int pid_base, bool* first) const;
 
  private:
+  int AddTrack(const std::string& track_name);
+
   std::vector<std::string> track_names_;
   std::vector<Entry> entries_;
 };

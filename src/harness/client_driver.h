@@ -97,7 +97,6 @@ class ClientDriver {
   // under a kernel id no profile knows. Detecting and quarantining the hang
   // is the scheduler watchdog's job.
   void Hang(DurationUs runaway_us);
-  bool crashed() const { return crashed_; }
 
   core::ClientId id() const { return id_; }
   const ClientConfig& config() const { return config_; }

@@ -61,7 +61,6 @@ class Fabric : public gpusim::HostLinkModel {
   Fabric& operator=(const Fabric&) = delete;
 
   const NodeTopology& topology() const { return topology_; }
-  Simulator* simulator() { return sim_; }
 
   // Telemetry (src/telemetry): transfer statistics become "fabric.*" registry
   // counters and, with tracing on, every transfer (host copies included) is

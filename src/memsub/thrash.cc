@@ -34,12 +34,6 @@ bool ThrashDetector::Observe(double paging_busy_fraction, bool oversubscribed) {
   return thrashing_;
 }
 
-void ThrashDetector::Reset() {
-  thrashing_ = false;
-  high_streak_ = 0;
-  low_streak_ = 0;
-}
-
 DurationUs QuantumFromSwapCost(DurationUs measured_swap_us, const QuantumOptions& options) {
   ORION_CHECK(options.min_quantum_us > 0.0 &&
               options.max_quantum_us >= options.min_quantum_us);

@@ -49,9 +49,6 @@ class ThrashDetector {
   // Feeds one sampling window; returns the (possibly updated) state.
   bool Observe(double paging_busy_fraction, bool oversubscribed);
 
-  bool thrashing() const { return thrashing_; }
-  void Reset();
-
  private:
   Options options_;
   bool thrashing_ = false;

@@ -7,24 +7,8 @@
 namespace orion {
 namespace runtime {
 
-const char* OpTypeName(OpType type) {
-  switch (type) {
-    case OpType::kKernelLaunch:
-      return "kernel";
-    case OpType::kMemcpyH2D:
-      return "memcpy_h2d";
-    case OpType::kMemcpyD2H:
-      return "memcpy_d2h";
-    case OpType::kMalloc:
-      return "malloc";
-    case OpType::kGraphLaunch:
-      return "graph";
-  }
-  return "invalid";
-}
-
 GpuRuntime::GpuRuntime(Simulator* sim, gpusim::DeviceSpec spec)
-    : sim_(sim), device_(sim, spec), memory_(spec.memory_bytes) {
+    : device_(sim, spec), memory_(spec.memory_bytes) {
   ORION_CHECK(sim != nullptr);
 }
 

@@ -27,16 +27,14 @@ class GpuRuntime {
 
   GpuRuntime(Simulator* sim, gpusim::DeviceSpec spec);
 
-  Simulator* simulator() { return sim_; }
   gpusim::Device& device() { return device_; }
-  const gpusim::Device& device() const { return device_; }
   MemoryManager& memory() { return memory_; }
 
   gpusim::StreamId CreateStream(int priority = gpusim::kPriorityDefault);
 
   // Submits an Op on the given stream. `done` fires when the op completes on
-  // the device. Malloc/Free synchronise the device first, then apply the
-  // memory accounting, then fire `done`.
+  // the device. Malloc synchronises the device first, then applies the
+  // memory accounting, then fires `done`.
   void Submit(const Op& op, gpusim::StreamId stream, CompletionCb done = nullptr);
 
   // Direct kernel-level API used by the toy experiments and examples.
@@ -44,11 +42,8 @@ class GpuRuntime {
                     CompletionCb done = nullptr);
   void RecordEvent(gpusim::StreamId stream, gpusim::GpuEvent* event,
                    CompletionCb done = nullptr);
-  // cudaEventQuery: non-blocking completion probe (§5.1.2).
-  static bool EventQuery(const gpusim::GpuEvent& event) { return event.done; }
 
  private:
-  Simulator* sim_;
   gpusim::Device device_;
   MemoryManager memory_;
 };

@@ -1,7 +1,5 @@
 #include "src/runtime/memory_manager.h"
 
-#include <algorithm>
-
 #include "src/common/check.h"
 
 namespace orion {
@@ -16,16 +14,7 @@ MemHandle MemoryManager::Allocate(std::size_t bytes, std::uint64_t client) {
   const MemHandle handle = next_handle_++;
   allocations_.emplace(handle, Allocation{bytes, client});
   used_ += bytes;
-  peak_used_ = std::max(peak_used_, used_);
   return handle;
-}
-
-void MemoryManager::Free(MemHandle handle) {
-  auto it = allocations_.find(handle);
-  ORION_CHECK_MSG(it != allocations_.end(), "free of unknown handle " << handle);
-  ORION_CHECK(used_ >= it->second.bytes);
-  used_ -= it->second.bytes;
-  allocations_.erase(it);
 }
 
 std::size_t MemoryManager::ReleaseClient(std::uint64_t client) {
@@ -41,17 +30,6 @@ std::size_t MemoryManager::ReleaseClient(std::uint64_t client) {
   ORION_CHECK(used_ >= released);
   used_ -= released;
   return released;
-}
-
-std::size_t MemoryManager::used_by(std::uint64_t client) const {
-  std::size_t total = 0;
-  for (const auto& [handle, allocation] : allocations_) {
-    (void)handle;
-    if (allocation.client == client) {
-      total += allocation.bytes;
-    }
-  }
-  return total;
 }
 
 }  // namespace runtime

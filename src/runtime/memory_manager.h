@@ -24,22 +24,15 @@ class MemoryManager {
   // `client` tags the allocation with its owning client (0 = unattributed)
   // so a crashed client's memory can be reclaimed wholesale.
   MemHandle Allocate(std::size_t bytes, std::uint64_t client = 0);
-  // Frees a previous allocation; aborts on unknown or double-freed handles.
-  void Free(MemHandle handle);
   // Frees every live allocation tagged with `client` (process-exit cleanup,
   // src/fault). Returns the number of bytes released.
   std::size_t ReleaseClient(std::uint64_t client);
 
-  std::size_t capacity() const { return capacity_; }
   std::size_t used() const { return used_; }
   std::size_t available() const { return capacity_ - used_; }
   double utilization() const {
     return capacity_ > 0 ? static_cast<double>(used_) / static_cast<double>(capacity_) : 0.0;
   }
-  std::size_t peak_used() const { return peak_used_; }
-  std::size_t live_allocations() const { return allocations_.size(); }
-  // Live bytes held by `client`.
-  std::size_t used_by(std::uint64_t client) const;
 
  private:
   struct Allocation {
@@ -49,7 +42,6 @@ class MemoryManager {
 
   std::size_t capacity_;
   std::size_t used_ = 0;
-  std::size_t peak_used_ = 0;
   MemHandle next_handle_ = 1;
   std::unordered_map<MemHandle, Allocation> allocations_;
 };

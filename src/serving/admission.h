@@ -39,7 +39,6 @@ class AdmissionController {
   bool Admit(const Request& request, PriorityTier tier, DurationUs predicted_wait_us,
              DurationUs service_us) const;
 
-  const AdmissionConfig& config() const { return config_; }
 
  private:
   AdmissionConfig config_;

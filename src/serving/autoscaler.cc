@@ -28,11 +28,6 @@ const char* ScaleReasonName(ScaleReason reason) {
   return "unknown";
 }
 
-ScaleDecision Decide(const AutoscalerConfig& config, const ModelWindowSignals& signals) {
-  ScaleReason reason = ScaleReason::kNone;
-  return DecideWithReason(config, signals, &reason);
-}
-
 ScaleDecision DecideWithReason(const AutoscalerConfig& config,
                                const ModelWindowSignals& signals, ScaleReason* reason) {
   ORION_CHECK(signals.min_replicas >= 0);

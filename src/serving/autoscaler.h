@@ -61,11 +61,9 @@ const char* ScaleReasonName(ScaleReason reason);
 // drowning); an idle window as attainment 1.
 double WindowAttainment(const ModelWindowSignals& signals);
 
-ScaleDecision Decide(const AutoscalerConfig& config, const ModelWindowSignals& signals);
-
-// As Decide, and reports the dominant signal behind the decision (the first
-// overload trigger in shed → attainment → utilization order; kIdleHealthy
-// for scale-downs, kNone for holds).
+// The autoscaler's decision for one window, and the dominant signal behind
+// it in `reason` (the first overload trigger in shed → attainment →
+// utilization order; kIdleHealthy for scale-downs, kNone for holds).
 ScaleDecision DecideWithReason(const AutoscalerConfig& config,
                                const ModelWindowSignals& signals, ScaleReason* reason);
 

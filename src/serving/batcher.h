@@ -57,10 +57,9 @@ class DynamicBatcher {
   // Only meaningful when !empty().
   TimeUs LingerDeadline() const;
 
-  // Removes and returns the next batch (up to max_batch_size requests, FIFO).
-  std::vector<Request> TakeBatch();
-  // Allocation-free variant for the dispatch hot path: fills `out` (cleared
-  // first, capacity retained) with the same batch TakeBatch would return.
+  // Removes the next batch (up to max_batch_size requests, FIFO) into `out`,
+  // which is cleared first with its capacity retained, so a replica's reused
+  // buffer stops allocating.
   void TakeBatchInto(std::vector<Request>* out);
 
   // Removes and returns everything queued (failover re-routing).
@@ -78,7 +77,6 @@ class DynamicBatcher {
 
   bool empty() const { return queue_.empty(); }
   std::size_t size() const { return queue_.size(); }
-  const BatchingConfig& config() const { return config_; }
 
  private:
   BatchingConfig config_;

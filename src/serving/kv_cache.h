@@ -56,7 +56,6 @@ class KvCacheAllocator {
   }
   std::size_t live_sequences() const { return seqs_.size(); }
   std::size_t live_tokens() const { return live_tokens_; }
-  const KvCacheConfig& config() const { return config_; }
 
  private:
   // Recomputes the block sum over live sequences and ORION_CHECKs it against

@@ -91,7 +91,6 @@ class LlmCostModel {
   LlmBatchBreakdown RequestLevelBatchUs(const std::vector<Request>& batch) const;
 
   std::size_t kv_bytes_per_token() const { return kv_bytes_per_token_; }
-  const LlmServiceConfig& service() const { return service_; }
 
  private:
   DurationUs KernelsUs(const std::vector<gpusim::KernelDesc>& kernels) const;

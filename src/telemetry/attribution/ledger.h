@@ -219,7 +219,6 @@ class LatencyLedger {
 
   const double* phases() const { return phase_us_; }
   double phase(Phase p) const { return phase_us_[PhaseIndex(p)]; }
-  Phase open_phase() const { return open_; }
 
  private:
   double phase_us_[kNumPhases] = {};

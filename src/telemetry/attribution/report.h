@@ -87,7 +87,6 @@ class AttributionRegistry {
   ServiceAttribution& Service(const std::string& service) { return services_[service]; }
 
   const std::map<std::string, ServiceAttribution>& services() const { return services_; }
-  bool empty() const { return services_.empty(); }
 
  private:
   std::map<std::string, ServiceAttribution> services_;

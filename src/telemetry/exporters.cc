@@ -159,17 +159,6 @@ void WriteMetricsCsv(const MetricRegistry& metrics, std::ostream& os) {
   }
 }
 
-void WriteChromeTrace(const SpanTracer& spans, std::ostream& os) {
-  os << "[";
-  bool first = true;
-  WriteSpanEvents(spans, os, &first);
-  if (first) {
-    os << "]\n";
-    return;
-  }
-  os << "\n]\n";
-}
-
 void WriteChromeTrace(const Hub& hub, std::ostream& os) {
   os << "[";
   bool first = true;

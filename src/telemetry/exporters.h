@@ -3,7 +3,7 @@
 //
 // WriteMetricsCsv renders a MetricRegistry snapshot as one CSV row per
 // metric (counters and gauges fill `value`; histograms fill the
-// count/mean/percentile columns from their current window).
+// count/mean/percentile columns).
 //
 // WriteChromeTrace merges the hub's kernel execution tracks (one Chrome
 // process per device, one thread per stream) with the cross-layer spans of
@@ -33,10 +33,7 @@ inline constexpr int kKernelPidBase = 1000;
 
 void WriteMetricsCsv(const MetricRegistry& metrics, std::ostream& os);
 
-// Spans only (no kernel tracks).
-void WriteChromeTrace(const SpanTracer& spans, std::ostream& os);
-
-// Full merge: spans + kernel tracks.
+// Spans + kernel tracks.
 void WriteChromeTrace(const Hub& hub, std::ostream& os);
 
 // File-writing convenience used by the bench binaries; aborts on I/O errors

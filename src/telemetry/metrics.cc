@@ -100,15 +100,15 @@ std::vector<MetricRow> MetricRegistry::Snapshot() const {
         row.value = metric->gauge.value();
         break;
       case MetricKind::kHistogram: {
-        const LatencyRecorder& window = metric->histogram.window();
-        row.count = window.count();
-        row.value = window.mean();
-        row.p50 = window.p50();
-        row.p95 = window.p95();
-        row.p99 = window.p99();
-        row.min = window.min();
-        row.max = window.max();
-        for (const double sample : window.samples()) {
+        const LatencyRecorder& recorder = metric->histogram.recorder();
+        row.count = recorder.count();
+        row.value = recorder.mean();
+        row.p50 = recorder.p50();
+        row.p95 = recorder.p95();
+        row.p99 = recorder.p99();
+        row.min = recorder.min();
+        row.max = recorder.max();
+        for (const double sample : recorder.samples()) {
           row.sum += sample;
         }
         break;
@@ -117,15 +117,6 @@ std::vector<MetricRow> MetricRegistry::Snapshot() const {
     rows.push_back(std::move(row));
   }
   return rows;
-}
-
-void MetricRegistry::ResetWindows() {
-  for (auto& [key, metric] : metrics_) {
-    (void)key;
-    if (metric->kind == MetricKind::kHistogram) {
-      metric->histogram.ResetWindow();
-    }
-  }
 }
 
 }  // namespace telemetry

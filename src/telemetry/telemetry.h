@@ -47,7 +47,6 @@ class Hub {
   bool tracing() const { return tracing_; }
 
   attribution::AttributionRegistry& attribution() { return attribution_; }
-  const attribution::AttributionRegistry& attribution() const { return attribution_; }
 
   // Per-request latency attribution is opt-in like tracing: when disabled the
   // engines never touch a request's LatencyLedger, so runs stay bit-identical

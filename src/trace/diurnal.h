@@ -74,7 +74,6 @@ class DiurnalArrivals : public ArrivalProcess {
   DurationUs NextInterarrival(Rng& rng) override;
   std::string name() const override;
 
-  const DiurnalConfig& config() const { return config_; }
 
  private:
   double RateAt(TimeUs t) const;

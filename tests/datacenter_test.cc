@@ -272,7 +272,7 @@ TEST(DatacenterTest, SameSeedClusterRunsAreIdentical) {
   const ClusterConfig config = FailoverCluster();
   const ClusterResult a = RunCluster(config);
   const ClusterResult b = RunCluster(config);
-  EXPECT_TRUE(ClusterResultsBitIdentical(a, b));
+  EXPECT_TRUE(testutil::ClusterResultsBitIdentical(a, b));
 }
 
 // --- Golden digests, one per engine regime. ---

@@ -45,7 +45,7 @@ std::vector<SoupOp> MakeSoup(std::uint64_t seed, int num_streams, int num_kernel
     op.stream = static_cast<int>(rng.UniformInt(0, num_streams - 1));
     KernelDesc& kernel = op.kernel;
     kernel.kernel_id = static_cast<std::uint64_t>(i);
-    kernel.name = "k" + std::to_string(i);
+    kernel.name.assign("k").append(std::to_string(i));
     kernel.duration_us = rng.UniformDouble(5.0, 800.0);
     kernel.compute_util = rng.UniformDouble(0.02, 0.95);
     kernel.membw_util = rng.UniformDouble(0.02, 0.95);
@@ -196,7 +196,7 @@ TEST_P(EventOrderTest, EventNeverFiresBeforePriorOps) {
       device.RecordEvent(stream, events.back().get());
     } else {
       KernelDesc kernel;
-      kernel.name = "k" + std::to_string(i);
+      kernel.name.assign("k").append(std::to_string(i));
       kernel.duration_us = rng.UniformDouble(10.0, 200.0);
       kernel.compute_util = rng.UniformDouble(0.1, 0.9);
       kernel.membw_util = rng.UniformDouble(0.1, 0.9);
@@ -264,7 +264,7 @@ std::uint64_t RunChurn(std::uint64_t seed, bool debug_oracle = false,
     if (pick < 0.70) {
       KernelDesc kernel;
       kernel.kernel_id = static_cast<std::uint64_t>(i);
-      kernel.name = "churn" + std::to_string(i);
+      kernel.name.assign("churn").append(std::to_string(i));
       kernel.duration_us = rng.UniformDouble(1.0, 300.0);
       kernel.compute_util = rng.UniformDouble(0.0, 0.95);
       kernel.membw_util = rng.UniformDouble(0.0, 0.95);

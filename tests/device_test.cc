@@ -39,7 +39,8 @@ TEST_F(DeviceTest, SameStreamKernelsRunSequentially) {
   const StreamId stream = device.CreateStream();
   std::vector<TimeUs> completions;
   for (int i = 0; i < 3; ++i) {
-    device.LaunchKernel(stream, MakeKernel("k" + std::to_string(i), 50.0, 0.3, 0.1, 10),
+    const std::string name = std::string("k").append(std::to_string(i));
+    device.LaunchKernel(stream, MakeKernel(name, 50.0, 0.3, 0.1, 10),
                         [&]() { completions.push_back(sim_.now()); });
   }
   sim_.RunUntilIdle();
@@ -309,10 +310,10 @@ TEST_F(DeviceTest, StreamBusySmsAndIdleQueries) {
   // Occupancy-scaled demand: 25 SMs * (0.25 + 0.65 * 0.5/0.6) = ~20.
   EXPECT_EQ(device.StreamBusySms(stream), 20);
   EXPECT_EQ(device.FreeSms(), spec_.num_sms - 20);
-  EXPECT_TRUE(device.AnyKernelRunning());
+  EXPECT_EQ(device.RunningKernelCount(), 1);
   sim_.RunUntilIdle();
   EXPECT_TRUE(device.StreamIdle(stream));
-  EXPECT_FALSE(device.AnyKernelRunning());
+  EXPECT_EQ(device.RunningKernelCount(), 0);
 }
 
 TEST_F(DeviceTest, ZeroDurationKernelCompletesImmediately) {
@@ -333,8 +334,8 @@ TEST_F(DeviceTest, ManyKernelsConserveWork) {
   int completed = 0;
   for (int i = 0; i < kN; ++i) {
     const StreamId stream = device.CreateStream();
-    device.LaunchKernel(stream, MakeKernel("k" + std::to_string(i), 100.0, 1.0, 0.2, 80),
-                        [&]() { ++completed; });
+    const std::string name = std::string("k").append(std::to_string(i));
+    device.LaunchKernel(stream, MakeKernel(name, 100.0, 1.0, 0.2, 80), [&]() { ++completed; });
   }
   sim_.RunUntilIdle();
   EXPECT_EQ(completed, kN);

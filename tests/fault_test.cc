@@ -30,6 +30,7 @@
 #include "src/interconnect/topology.h"
 #include "src/runtime/gpu_runtime.h"
 #include "src/sim/simulator.h"
+#include "src/telemetry/telemetry.h"
 #include "src/trace/request_rates.h"
 #include "tests/test_util.h"
 
@@ -371,6 +372,8 @@ class SchedulerFaultTest : public ::testing::Test {
     be_profile_->RebuildIndex();
 
     scheduler_ = std::make_unique<core::OrionScheduler>(options);
+    hub_ = std::make_unique<telemetry::Hub>();
+    scheduler_->set_telemetry(hub_.get());
     std::vector<core::SchedClientInfo> infos;
     core::SchedClientInfo hp;
     hp.id = 0;
@@ -412,9 +415,13 @@ class SchedulerFaultTest : public ::testing::Test {
     return -1.0;
   }
 
+  double Counter(const std::string& name) const { return hub_->metrics().CounterValue(name); }
+
   Simulator sim_;
   gpusim::DeviceSpec spec_ = gpusim::DeviceSpec::V100_16GB();
   std::unique_ptr<runtime::GpuRuntime> rt_;
+  // The scheduler publishes its decision statistics as "orion.*" counters.
+  std::unique_ptr<telemetry::Hub> hub_;  // outlives the scheduler bound to it
   std::unique_ptr<core::OrionScheduler> scheduler_;
   std::unique_ptr<profiler::WorkloadProfile> hp_profile_;
   std::unique_ptr<profiler::WorkloadProfile> be_profile_;
@@ -439,13 +446,13 @@ TEST_F(SchedulerFaultTest, CrashReleasesMemoryAndDropsQueue) {
   scheduler_->OnClientCrash(1);
   EXPECT_TRUE(scheduler_->client_quarantined(1));
   EXPECT_EQ(scheduler_->clients_quarantined(), 1u);
-  EXPECT_EQ(scheduler_->be_ops_dropped(), 2u);
-  EXPECT_EQ(scheduler_->be_bytes_released(), 256 * kMb);
+  EXPECT_EQ(Counter("orion.be_ops_dropped"), 2.0);
+  EXPECT_EQ(Counter("orion.be_bytes_released"), static_cast<double>(256 * kMb));
   EXPECT_EQ(rt_->memory().used(), 0u);
 
   // Post-crash submissions from the dead client are dropped too.
   EnqueueKernel(1, be_q);
-  EXPECT_EQ(scheduler_->be_ops_dropped(), 3u);
+  EXPECT_EQ(Counter("orion.be_ops_dropped"), 3.0);
   sim_.RunUntilIdle();
   // The resident kernel ran out on the device (no preemption), but no queued
   // op from the dead client ever started.

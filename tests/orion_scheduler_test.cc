@@ -8,6 +8,7 @@
 #include "src/core/orion_scheduler.h"
 #include "src/runtime/gpu_runtime.h"
 #include "src/sim/simulator.h"
+#include "src/telemetry/telemetry.h"
 #include "tests/test_util.h"
 
 namespace orion {
@@ -58,6 +59,8 @@ class OrionSchedulerTest : public ::testing::Test {
     be_profile_->RebuildIndex();
 
     scheduler_ = std::make_unique<OrionScheduler>(options);
+    hub_ = std::make_unique<telemetry::Hub>();
+    scheduler_->set_telemetry(hub_.get());
     std::vector<SchedClientInfo> infos;
     SchedClientInfo hp;
     hp.id = 0;
@@ -91,9 +94,13 @@ class OrionSchedulerTest : public ::testing::Test {
     return -1.0;
   }
 
+  double Counter(const std::string& name) const { return hub_->metrics().CounterValue(name); }
+
   Simulator sim_;
   gpusim::DeviceSpec spec_ = gpusim::DeviceSpec::V100_16GB();
   std::unique_ptr<runtime::GpuRuntime> rt_;
+  // The scheduler publishes its decision statistics as "orion.*" counters.
+  std::unique_ptr<telemetry::Hub> hub_;  // outlives the scheduler bound to it
   std::unique_ptr<OrionScheduler> scheduler_;
   std::unique_ptr<profiler::WorkloadProfile> hp_profile_;
   std::unique_ptr<profiler::WorkloadProfile> be_profile_;
@@ -130,7 +137,7 @@ TEST_F(OrionSchedulerTest, SameProfileBeDeferredUntilHpIdle) {
   sim_.RunUntilIdle();
   // Deferred to hp completion at t=500.
   EXPECT_GE(StartOf("be_conv"), 500.0);
-  EXPECT_GT(scheduler_->be_profile_skips(), 0u);
+  EXPECT_GT(Counter("orion.be_profile_skips"), 0.0);
 }
 
 TEST_F(OrionSchedulerTest, LargeBeKernelBlockedBySmThreshold) {
@@ -194,7 +201,7 @@ TEST_F(OrionSchedulerTest, DurThresholdThrottlesBeBacklog) {
     EnqueueKernel(1, kernel);
   }
   sim_.RunUntilIdle();
-  EXPECT_GT(scheduler_->be_throttle_skips(), 0u);
+  EXPECT_GT(Counter("orion.be_throttle_skips"), 0.0);
   // Kernels still all ran eventually.
   EXPECT_EQ(rt_->device().kernels_completed(), 5u);
   // And the throttle serialised them: with a 25us budget and 20us kernels,
@@ -216,8 +223,8 @@ TEST_F(OrionSchedulerTest, ThrottleDisabledSubmitsEverythingAtOnce) {
     EnqueueKernel(1, kernel);
   }
   sim_.RunUntilIdle();
-  EXPECT_EQ(scheduler_->be_throttle_skips(), 0u);
-  EXPECT_EQ(scheduler_->be_kernels_submitted(), 4u);
+  EXPECT_EQ(Counter("orion.be_throttle_skips"), 0.0);
+  EXPECT_EQ(Counter("orion.be_kernels_submitted"), 4.0);
 }
 
 // Poll-epoch guard: wake-ups at one timestamp with no intervening change to
@@ -233,8 +240,8 @@ TEST_F(OrionSchedulerTest, RedundantSameTimestampPollsCoalesce) {
     op.op.bytes = 1 << 20;
     scheduler_->Enqueue(0, std::move(op));
   }
-  EXPECT_EQ(scheduler_->be_polls(), 8u);
-  EXPECT_EQ(scheduler_->be_polls_coalesced(), 7u);  // first scan ran, rest skipped
+  EXPECT_EQ(Counter("orion.be_polls"), 8.0);
+  EXPECT_EQ(Counter("orion.be_polls_coalesced"), 7.0);  // first scan ran, rest skipped
   sim_.RunUntilIdle();
 }
 
@@ -249,7 +256,7 @@ TEST_F(OrionSchedulerTest, EpochBumpForcesScanAtSameTimestamp) {
   mem.op.bytes = 1 << 20;
   scheduler_->Enqueue(0, std::move(mem));  // polls at t=0 (empty be queue)
   EnqueueKernel(1, be);                    // same timestamp, epoch bumped
-  EXPECT_EQ(scheduler_->be_kernels_submitted(), 1u);
+  EXPECT_EQ(Counter("orion.be_kernels_submitted"), 1.0);
   sim_.RunUntilIdle();
   EXPECT_EQ(rt_->device().kernels_completed(), 1u);
 }
@@ -334,7 +341,7 @@ TEST_F(OrionSchedulerTest, StatsAccumulate) {
   Attach(OrionOptions{}, {hp}, {be});
   EnqueueKernel(1, be);
   sim_.RunUntilIdle();
-  EXPECT_EQ(scheduler_->be_kernels_submitted(), 1u);
+  EXPECT_EQ(Counter("orion.be_kernels_submitted"), 1.0);
 }
 
 using OrionSchedulerDeathTest = OrionSchedulerTest;

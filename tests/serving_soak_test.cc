@@ -72,6 +72,8 @@ TEST(ServingSoakTest, LongHostileRunKeepsAccountingConsistent) {
   EXPECT_GE(result.replicas_lost, 2u);
 
   std::size_t total_completed = 0;
+  std::size_t offered = 0;
+  std::size_t slo_met = 0;
   for (const ModelServingResult& model : result.models) {
     // RunServing ORION_CHECKs this identity; re-assert it in test space so a
     // future refactor that drops the internal check still gets caught.
@@ -82,11 +84,14 @@ TEST(ServingSoakTest, LongHostileRunKeepsAccountingConsistent) {
     EXPECT_GT(model.completed, 0u) << model.name;
     EXPECT_GE(model.final_replicas, 1) << model.name;
     total_completed += model.total_completed;
+    offered += model.offered;
+    slo_met += model.slo_met;
   }
   // Roughly 425 rps offered over ~31 s: the fleet must have served the vast
   // majority of it despite losing two GPUs and two replica processes.
   EXPECT_GT(total_completed, 10000u);
-  EXPECT_GT(result.MeanAttainment(), 0.6);
+  // Offered-weighted SLO attainment across the services.
+  EXPECT_GT(static_cast<double>(slo_met) / static_cast<double>(offered), 0.6);
   EXPECT_GT(result.replica_seconds, 0.0);
 }
 

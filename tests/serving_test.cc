@@ -98,7 +98,8 @@ TEST(BatcherTest, DispatchesFullBatchImmediately) {
     batcher.Enqueue(MakeRequest(i), /*now=*/0.0);
   }
   EXPECT_TRUE(batcher.ShouldDispatch(0.0));
-  const auto batch = batcher.TakeBatch();
+  std::vector<Request> batch;
+  batcher.TakeBatchInto(&batch);
   EXPECT_EQ(batch.size(), 4u);
   EXPECT_TRUE(batcher.empty());
 }
@@ -114,7 +115,9 @@ TEST(BatcherTest, PartialBatchLingersUntilDelayBound) {
   // Bound is measured from the oldest enqueue, not the newest.
   EXPECT_DOUBLE_EQ(batcher.LingerDeadline(), 1100.0);
   EXPECT_TRUE(batcher.ShouldDispatch(1100.0));
-  EXPECT_EQ(batcher.TakeBatch().size(), 2u);
+  std::vector<Request> batch;
+  batcher.TakeBatchInto(&batch);
+  EXPECT_EQ(batch.size(), 2u);
 }
 
 TEST(BatcherTest, DisabledBatchingTakesSingles) {
@@ -125,7 +128,9 @@ TEST(BatcherTest, DisabledBatchingTakesSingles) {
   batcher.Enqueue(MakeRequest(0), 0.0);
   batcher.Enqueue(MakeRequest(1), 0.0);
   EXPECT_TRUE(batcher.ShouldDispatch(0.0));
-  EXPECT_EQ(batcher.TakeBatch().size(), 1u);
+  std::vector<Request> batch;
+  batcher.TakeBatchInto(&batch);
+  EXPECT_EQ(batch.size(), 1u);
   EXPECT_EQ(batcher.size(), 1u);
 }
 
@@ -255,48 +260,52 @@ ModelWindowSignals HealthySignals() {
 TEST(AutoscalerTest, HoldsWhenHealthy) {
   AutoscalerConfig config;
   config.enabled = true;
-  EXPECT_EQ(Decide(config, HealthySignals()), ScaleDecision::kHold);
+  ScaleReason reason = ScaleReason::kNone;
+  EXPECT_EQ(DecideWithReason(config, HealthySignals(), &reason), ScaleDecision::kHold);
 }
 
 TEST(AutoscalerTest, ScalesUpOnSheddingAttainmentOrUtilization) {
   AutoscalerConfig config;
   config.enabled = true;
+  ScaleReason reason = ScaleReason::kNone;
   auto shed = HealthySignals();
   shed.shed = 5;
-  EXPECT_EQ(Decide(config, shed), ScaleDecision::kUp);
+  EXPECT_EQ(DecideWithReason(config, shed, &reason), ScaleDecision::kUp);
   auto missing = HealthySignals();
   missing.slo_met = 50;
-  EXPECT_EQ(Decide(config, missing), ScaleDecision::kUp);
+  EXPECT_EQ(DecideWithReason(config, missing, &reason), ScaleDecision::kUp);
   auto hot = HealthySignals();
   hot.utilization = 0.95;
-  EXPECT_EQ(Decide(config, hot), ScaleDecision::kUp);
+  EXPECT_EQ(DecideWithReason(config, hot, &reason), ScaleDecision::kUp);
 }
 
 TEST(AutoscalerTest, RespectsReplicaBounds) {
   AutoscalerConfig config;
   config.enabled = true;
+  ScaleReason reason = ScaleReason::kNone;
   auto capped = HealthySignals();
   capped.shed = 5;
   capped.active_replicas = 4;
-  EXPECT_EQ(Decide(config, capped), ScaleDecision::kHold);
+  EXPECT_EQ(DecideWithReason(config, capped, &reason), ScaleDecision::kHold);
   auto pending = HealthySignals();
   pending.shed = 5;
   pending.pending_replicas = 1;  // one already provisioning: wait for it
-  EXPECT_EQ(Decide(config, pending), ScaleDecision::kHold);
+  EXPECT_EQ(DecideWithReason(config, pending, &reason), ScaleDecision::kHold);
 }
 
 TEST(AutoscalerTest, ScalesDownOnlyWhenIdleAndHealthy) {
   AutoscalerConfig config;
   config.enabled = true;
+  ScaleReason reason = ScaleReason::kNone;
   auto idle = HealthySignals();
   idle.utilization = 0.1;
-  EXPECT_EQ(Decide(config, idle), ScaleDecision::kDown);
+  EXPECT_EQ(DecideWithReason(config, idle, &reason), ScaleDecision::kDown);
   idle.active_replicas = 1;  // already at the floor
-  EXPECT_EQ(Decide(config, idle), ScaleDecision::kHold);
+  EXPECT_EQ(DecideWithReason(config, idle, &reason), ScaleDecision::kHold);
   auto idle_but_missing = HealthySignals();
   idle_but_missing.utilization = 0.1;
   idle_but_missing.slo_met = 50;
-  EXPECT_NE(Decide(config, idle_but_missing), ScaleDecision::kDown);
+  EXPECT_NE(DecideWithReason(config, idle_but_missing, &reason), ScaleDecision::kDown);
 }
 
 TEST(AutoscalerTest, DecideWithReasonExplainsEveryBranch) {
@@ -346,7 +355,7 @@ TEST(IncrementalPlacementTest, SkipsDeadAndFullGpus) {
   std::vector<cluster::GpuResidents> gpus(3);
   gpus[0].alive = false;
   gpus[1].jobs = {job, job};  // at the 2-job slot limit
-  const auto best = cluster::PlacementEngine::BestGpuFor(job, gpus, 16ull << 30, 2);
+  const auto best = cluster::PlacementEngine::BestGpuFor(job, gpus, 16ull << 30, 2, nullptr);
   ASSERT_TRUE(best.has_value());
   EXPECT_EQ(*best, 2);
 }
@@ -356,21 +365,21 @@ TEST(IncrementalPlacementTest, OneLatencyCriticalJobPerGpu) {
   std::vector<cluster::GpuResidents> gpus(2);
   gpus[0].jobs = {hp};
   gpus[1].jobs = {Signature(ModelId::kMobileNetV2, false)};
-  const auto best = cluster::PlacementEngine::BestGpuFor(hp, gpus, 16ull << 30, 2);
+  const auto best = cluster::PlacementEngine::BestGpuFor(hp, gpus, 16ull << 30, 2, nullptr);
   ASSERT_TRUE(best.has_value());
   EXPECT_EQ(*best, 1);
   // Both GPUs hosting an hp job: nowhere to put a third.
   gpus[1].jobs = {hp};
-  EXPECT_FALSE(
-      cluster::PlacementEngine::BestGpuFor(hp, gpus, 16ull << 30, 2).has_value());
+  EXPECT_FALSE(cluster::PlacementEngine::BestGpuFor(hp, gpus, 16ull << 30, 2, nullptr)
+                   .has_value());
 }
 
 TEST(IncrementalPlacementTest, RespectsMemoryCapacity) {
   auto job = Signature(ModelId::kBert, false);
   std::vector<cluster::GpuResidents> gpus(1);
   gpus[0].used_bytes = (16ull << 30) - job.state_bytes / 2;
-  EXPECT_FALSE(
-      cluster::PlacementEngine::BestGpuFor(job, gpus, 16ull << 30, 4).has_value());
+  EXPECT_FALSE(cluster::PlacementEngine::BestGpuFor(job, gpus, 16ull << 30, 4, nullptr)
+                   .has_value());
 }
 
 TEST(IncrementalPlacementTest, PrefersLeastInterference) {
@@ -378,7 +387,7 @@ TEST(IncrementalPlacementTest, PrefersLeastInterference) {
   std::vector<cluster::GpuResidents> gpus(2);
   gpus[0].jobs = {Signature(ModelId::kResNet50, false)};     // same profile: clashes
   gpus[1].jobs = {Signature(ModelId::kMobileNetV2, false)};  // complementary
-  const auto best = cluster::PlacementEngine::BestGpuFor(job, gpus, 16ull << 30, 2);
+  const auto best = cluster::PlacementEngine::BestGpuFor(job, gpus, 16ull << 30, 2, nullptr);
   ASSERT_TRUE(best.has_value());
   EXPECT_EQ(*best, 1);
 }

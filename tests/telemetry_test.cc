@@ -37,29 +37,13 @@ TEST(MetricRegistryTest, CountersAreStableAndLabelled) {
   EXPECT_DOUBLE_EQ(registry.CounterValue("requests", {{"service", "resnet"}}), 1.0);
   // Lookup of an absent metric reads 0 without creating it.
   EXPECT_DOUBLE_EQ(registry.CounterValue("absent"), 0.0);
-  EXPECT_EQ(registry.size(), 2u);
+  EXPECT_EQ(registry.Snapshot().size(), 2u);
 }
 
 TEST(MetricRegistryTest, KindCollisionAborts) {
   MetricRegistry registry;
   registry.GetCounter("x");
   EXPECT_DEATH(registry.GetGauge("x"), "kind");
-}
-
-TEST(MetricRegistryTest, HistogramWindowResetsButLifetimeSurvives) {
-  MetricRegistry registry;
-  Histogram* h = registry.GetHistogram("latency_us");
-  h->Add(10.0);
-  h->Add(20.0);
-  EXPECT_EQ(h->window().count(), 2u);
-  EXPECT_EQ(h->lifetime().count(), 2u);
-  registry.ResetWindows();
-  EXPECT_EQ(h->window().count(), 0u);  // window cleared at the boundary
-  EXPECT_EQ(h->lifetime().count(), 2u);  // whole-run moments survive
-  h->Add(30.0);
-  EXPECT_EQ(h->window().count(), 1u);
-  EXPECT_EQ(h->lifetime().count(), 3u);
-  EXPECT_DOUBLE_EQ(h->lifetime().mean(), 20.0);
 }
 
 TEST(MetricRegistryTest, SnapshotIsSortedRegardlessOfRegistrationOrder) {
@@ -104,7 +88,7 @@ TEST(SpanTracerTest, RecordsNestedSlicesAndMarkers) {
   tracer.Complete(t, 7, "queue", 0.0, 40.0, {}, "queue");
   tracer.Complete(t, 7, "execute", 40.0, 100.0, {}, "execute");
   tracer.Instant(t, "shed", 55.0, {{"service", "svc"}});
-  ASSERT_EQ(tracer.size(), 4u);
+  ASSERT_EQ(tracer.events().size(), 4u);
   EXPECT_EQ(tracer.events()[0].kind, TraceEventKind::kComplete);
   EXPECT_EQ(tracer.events()[0].tid, 7);
   EXPECT_DOUBLE_EQ(tracer.events()[0].dur, 100.0);
@@ -114,7 +98,8 @@ TEST(SpanTracerTest, RecordsNestedSlicesAndMarkers) {
 // --- Exporters. ---
 
 TEST(ExporterTest, FlowArrowsPairUpInJson) {
-  SpanTracer tracer;
+  Hub hub;
+  SpanTracer& tracer = hub.spans();
   const TrackId src = tracer.Track("service");
   const TrackId dst = tracer.Track("gpu0");
   tracer.Complete(src, 1, "execute", 10.0, 50.0);
@@ -122,7 +107,7 @@ TEST(ExporterTest, FlowArrowsPairUpInJson) {
   tracer.FlowStart(src, 1, /*flow_id=*/42, 10.0);
   tracer.FlowEnd(dst, 0, 42, 12.0);
   std::ostringstream os;
-  WriteChromeTrace(tracer, os);
+  WriteChromeTrace(hub, os);
   const std::string json = os.str();
   EXPECT_NE(json.find("\"ph\":\"s\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"f\""), std::string::npos);
@@ -179,7 +164,8 @@ TEST(ExporterTest, MergedTraceGroupsKernelTracksAboveKernelPidBase) {
 // tests/data/telemetry_golden_trace.json deliberately (the test prints the
 // actual output) and re-check that Perfetto still loads a bench trace.
 TEST(ExporterTest, TraceJsonMatchesGoldenFile) {
-  SpanTracer tracer;
+  Hub hub;
+  SpanTracer& tracer = hub.spans();
   const TrackId svc = tracer.Track("service:demo");
   const TrackId gpu = tracer.Track("gpu0");
   tracer.Complete(svc, 1, "request", 0.0, 120.5, {{"slo_met", "1"}}, "request");
@@ -191,7 +177,7 @@ TEST(ExporterTest, TraceJsonMatchesGoldenFile) {
   tracer.AsyncEnd(gpu, 5, "allreduce", 90.0);
   tracer.Instant(svc, "shed", 64.125, {{"service", "demo"}});
   std::ostringstream os;
-  WriteChromeTrace(tracer, os);
+  WriteChromeTrace(hub, os);
   const std::string actual = os.str();
 
   const std::string path = std::string(ORION_TEST_DATA_DIR) + "/telemetry_golden_trace.json";
@@ -208,7 +194,8 @@ TEST(ExporterTest, TraceJsonMatchesGoldenFile) {
 // means the LLM span shape changed — update
 // tests/data/telemetry_golden_llm_trace.json deliberately.
 TEST(ExporterTest, LlmTraceJsonMatchesGoldenFile) {
-  SpanTracer tracer;
+  Hub hub;
+  SpanTracer& tracer = hub.spans();
   const TrackId svc = tracer.Track("service:llm-decode");
   const TrackId gpu = tracer.Track("gpu0");
   tracer.Complete(svc, 7, "request", 0.0, 240.0,
@@ -229,7 +216,7 @@ TEST(ExporterTest, LlmTraceJsonMatchesGoldenFile) {
   tracer.Instant(svc, "kv-evict", 64.0,
                  {{"service", "llm-decode"}, {"replica", "0"}, {"request", "7"}});
   std::ostringstream os;
-  WriteChromeTrace(tracer, os);
+  WriteChromeTrace(hub, os);
   const std::string actual = os.str();
 
   const std::string path =

@@ -86,15 +86,6 @@ TEST(ThrashDetectorTest, HighWindowResetsExitStreak) {
   EXPECT_FALSE(detector.Observe(0.0, false));
 }
 
-TEST(ThrashDetectorTest, ResetClearsState) {
-  memsub::ThrashDetector detector(DetectorOptions());
-  detector.Observe(0.9, true);
-  ASSERT_TRUE(detector.Observe(0.9, true));
-  detector.Reset();
-  EXPECT_FALSE(detector.thrashing());
-  EXPECT_FALSE(detector.Observe(0.9, true));  // streaks cleared too
-}
-
 // --- Quantum sizing. -------------------------------------------------------
 
 TEST(QuantumPolicyTest, ClampsToBounds) {

@@ -1,10 +1,13 @@
-// Chrome-trace export tests.
+// Chrome-trace export tests: kernel tracks collected by a hub's
+// TraceCollector, written by telemetry::WriteChromeTrace.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "src/gpusim/trace_export.h"
 #include "src/sim/simulator.h"
+#include "src/telemetry/exporters.h"
 #include "tests/test_util.h"
 
 namespace orion {
@@ -16,17 +19,18 @@ using testutil::MakeKernel;
 TEST(TraceExportTest, CollectsRecordsAndWritesValidEvents) {
   Simulator sim;
   Device device(&sim, DeviceSpec::V100_16GB());
-  TraceCollector collector;
+  telemetry::Hub hub;
+  TraceCollector& collector = hub.kernels();
   collector.RecordInto(device, "test-gpu");
   const StreamId s1 = device.CreateStream();
   const StreamId s2 = device.CreateStream();
   device.LaunchKernel(s1, MakeKernel("alpha", 100.0, 0.5, 0.2, 10));
   device.LaunchKernel(s2, MakeKernel("beta", 50.0, 0.2, 0.5, 10));
   sim.RunUntilIdle();
-  ASSERT_EQ(collector.size(), 2u);
+  ASSERT_EQ(collector.entries().size(), 2u);
 
   std::ostringstream os;
-  collector.WriteChromeTrace(os);
+  telemetry::WriteChromeTrace(hub, os);
   const std::string json = os.str();
   EXPECT_EQ(json.front(), '[');
   EXPECT_NE(json.find("\"alpha\""), std::string::npos);
@@ -43,58 +47,48 @@ TEST(TraceExportTest, CollectsRecordsAndWritesValidEvents) {
 TEST(TraceExportTest, EscapesSpecialCharacters) {
   Simulator sim;
   Device device(&sim, DeviceSpec::V100_16GB());
-  TraceCollector collector;
+  telemetry::Hub hub;
+  TraceCollector& collector = hub.kernels();
   collector.RecordInto(device);
   const StreamId stream = device.CreateStream();
   device.LaunchKernel(stream, MakeKernel("weird\"name\\with\nstuff", 10.0, 0.3, 0.1, 4));
   sim.RunUntilIdle();
   std::ostringstream os;
-  collector.WriteChromeTrace(os);
+  telemetry::WriteChromeTrace(hub, os);
   const std::string json = os.str();
   EXPECT_NE(json.find("weird\\\"name\\\\with\\nstuff"), std::string::npos);
-}
-
-TEST(TraceExportTest, ClearResets) {
-  Simulator sim;
-  Device device(&sim, DeviceSpec::V100_16GB());
-  TraceCollector collector;
-  collector.RecordInto(device);
-  const StreamId stream = device.CreateStream();
-  device.LaunchKernel(stream, MakeKernel("k", 10.0, 0.3, 0.1, 4));
-  sim.RunUntilIdle();
-  EXPECT_EQ(collector.size(), 1u);
-  collector.Clear();
-  EXPECT_EQ(collector.size(), 0u);
 }
 
 TEST(TraceExportTest, MergesMultipleDevicesAsSeparateTracks) {
   Simulator sim;
   Device gpu0(&sim, DeviceSpec::V100_16GB());
   Device gpu1(&sim, DeviceSpec::V100_16GB());
-  TraceCollector collector;
+  telemetry::Hub hub;
+  TraceCollector& collector = hub.kernels();
   collector.RecordInto(gpu0, "gpu0");
   collector.RecordInto(gpu1, "gpu1");
   gpu0.LaunchKernel(gpu0.CreateStream(), MakeKernel("on-zero", 100.0, 0.5, 0.2, 10));
   gpu1.LaunchKernel(gpu1.CreateStream(), MakeKernel("on-one", 50.0, 0.2, 0.5, 10));
   sim.RunUntilIdle();
-  ASSERT_EQ(collector.size(), 2u);
+  ASSERT_EQ(collector.entries().size(), 2u);
 
   std::ostringstream os;
-  collector.WriteChromeTrace(os);
+  telemetry::WriteChromeTrace(hub, os);
   const std::string json = os.str();
-  // One process-name metadata record and one pid per device.
+  // One process-name metadata record and one pid per device, from
+  // kKernelPidBase on.
   EXPECT_NE(json.find("\"gpu0\""), std::string::npos);
   EXPECT_NE(json.find("\"gpu1\""), std::string::npos);
-  EXPECT_NE(json.find("\"pid\":0"), std::string::npos);
-  EXPECT_NE(json.find("\"pid\":1"), std::string::npos);
+  EXPECT_NE(json.find("\"pid\":1000,"), std::string::npos);
+  EXPECT_NE(json.find("\"pid\":1001,"), std::string::npos);
   EXPECT_NE(json.find("\"on-zero\""), std::string::npos);
   EXPECT_NE(json.find("\"on-one\""), std::string::npos);
 }
 
 TEST(TraceExportTest, EmptyTraceIsStillValid) {
-  TraceCollector collector;
+  telemetry::Hub hub;
   std::ostringstream os;
-  collector.WriteChromeTrace(os);
+  telemetry::WriteChromeTrace(hub, os);
   const std::string json = os.str();
   EXPECT_EQ(json.front(), '[');
   EXPECT_NE(json.find("]"), std::string::npos);
