@@ -13,9 +13,9 @@
 //   * a global front-end owns arrivals, SLO admission, the service limbo
 //     queues, the autoscaler and fault handling, and picks a *node* for each
 //     admitted request (least-outstanding across nodes);
-//   * a per-node engine (node_engine.h) owns that node's GPUs and replicas
-//     and picks the *replica* (the serving::Router policy), then batches and
-//     serves exactly as the single-node engine did.
+//   * a per-node engine (node_engine.h) owns that node's GPUs; the *replica*
+//     on the node is picked by the serving::Router policy, then the node
+//     batches and serves exactly as the single-node engine did.
 //
 // With num_nodes == 1 the network is not modeled and the cluster path
 // reduces to the original single-node engine — serving::RunServing is now a

@@ -1,19 +1,18 @@
-// Per-node serving engine: one node's GPUs, replicas and batch dispatch.
+// Per-node serving engine: one node's GPUs and batch dispatch.
 //
 // The node engine is the lower half of the split single-node serving engine:
-// it owns replica state, within-node placement (least added interference via
+// it owns within-node placement (least added interference via
 // cluster::PlacementEngine::BestGpuFor), the batcher/linger machinery and
-// batch service timing with interference slowdown — everything whose scope
-// is one node. The global control plane (cluster_engine.cc) owns arrivals,
-// admission, node selection, limbo, autoscaling, faults and ALL request
-// accounting; it reaches in through the NodeHost interface the engine calls
-// back on, and through replica slot accessors when it needs to iterate the
-// fleet (views for routing, autoscaler signals, finalization).
+// batch service timing with interference slowdown for the replicas on its
+// GPUs — everything whose scope is one node. The ControlPlane
+// (cluster_engine.h) owns arrivals, admission, node selection, limbo,
+// autoscaling and faults and calls in here; the node reports its batch
+// events through the NodeHost callbacks, which the Accounting implements.
 //
-// Replica ids are allocated globally by the control plane (creation order
-// across the cluster, as before the split); a node addresses its own
-// replicas by slot. Event ordering and arithmetic on the single-node path
-// are bit-identical to the pre-split engine — that is the N=1 compatibility
+// Replicas live in one store on the ClusterContext, indexed by their global
+// id (creation order across the cluster); a node addresses its replicas by
+// that id too. Event ordering and arithmetic on the single-node path are
+// bit-identical to the pre-split engine — that is the N=1 compatibility
 // contract the datacenter tests pin down.
 #ifndef SRC_DATACENTER_NODE_ENGINE_H_
 #define SRC_DATACENTER_NODE_ENGINE_H_
@@ -25,6 +24,8 @@
 #include <vector>
 
 #include "src/cluster/placement.h"
+#include "src/datacenter/cluster.h"
+#include "src/datacenter/cluster_topology.h"
 #include "src/serving/batch_cost.h"
 #include "src/serving/batcher.h"
 #include "src/serving/kv_cache.h"
@@ -35,10 +36,8 @@
 namespace orion {
 namespace datacenter {
 
-class NodeEngine;
-
-// One replica process of a model service, resident on one of the node's
-// GPUs. Same lifecycle as the pre-split engine's ReplicaState.
+// One replica process of a model service, resident on one GPU of one node.
+// Same lifecycle as the pre-split engine's ReplicaState.
 struct Replica {
   explicit Replica(const serving::BatchingConfig& batching) : batcher(batching) {}
 
@@ -52,6 +51,10 @@ struct Replica {
     std::size_t kv_reserved_bytes = 0;  // counted against the GPU shard
     int joined_this_step = 0;  // trailing in_flight entries that prefilled this step
   };
+
+  // Provisioning replicas hold memory but run no kernels yet; dead ones
+  // hold nothing.
+  bool running() const { return state == State::kActive || state == State::kDraining; }
 
   int id = -1;        // global replica id (creation order across the cluster)
   std::size_t model = 0;
@@ -68,10 +71,14 @@ struct Replica {
   EventHandle completion;
   EventHandle linger;
   TimeUs active_since = 0.0;
-  double busy_in_eval_window_us = 0.0;  // autoscaler utilization signal
+  // Autoscaler utilization signal: busy time in the current evaluation
+  // window, and how far into the running batch it has been counted (an
+  // evaluation in mid-batch counts the elapsed part and moves the cursor).
+  double busy_in_eval_window_us = 0.0;
+  TimeUs eval_counted_to = 0.0;
 
-  // Latency-attribution bookkeeping (only maintained when the host reports
-  // attribution() — zero work otherwise). batch_iso_us is the in-flight
+  // Latency-attribution bookkeeping (only maintained when the run has
+  // attribution on — zero work otherwise). batch_iso_us is the in-flight
   // batch/step's isolated-roofline cost (pre-slowdown), the kExecute price;
   // idle_accum_us/idle_since integrate the replica's idle time so the ledger
   // can split queue wait into capacity-bound kQueue vs linger (DESIGN.md §15).
@@ -80,143 +87,158 @@ struct Replica {
   TimeUs idle_since = 0.0;
 };
 
+// One model service as every part of a cluster run reads it.
+struct Service {
+  serving::ModelServiceConfig cfg;
+  serving::BatchCostModel cost;
+  // Per-phase LLM costs; null unless cfg.llm.enabled (its presence is the
+  // engine-wide "is this an LLM service" predicate).
+  std::unique_ptr<serving::LlmCostModel> llm_cost;
+};
+
+// What every part of a cluster run shares: the clock, the run config, the
+// service table and the replica store. Built once by the engine.
+struct ClusterContext {
+  explicit ClusterContext(const ClusterConfig& cluster_config);
+
+  bool InWindow(TimeUs t) const { return t >= config.warmup_us && t <= horizon; }
+  bool network_on() const { return spec.num_nodes > 1; }
+  int GlobalGpu(const Replica& r) const { return topo.GlobalGpu(r.node, r.gpu); }
+  // The most requests one dispatch takes.
+  int batch_limit() const { return config.batching.enabled ? config.batching.max_batch_size : 1; }
+
+  Simulator sim;
+  serving::ServingConfig config;
+  ClusterSpec spec;
+  ClusterTopology topo;
+  TimeUs horizon;
+  // Per-request latency attribution (a hub with EnableAttribution). When
+  // false no part touches a request's ledger.
+  bool attribution;
+  std::vector<Service> services;
+  std::deque<Replica> replicas;  // by global id; stable addresses
+};
+
 struct GpuShard {
   bool alive = true;
   std::size_t used_bytes = 0;
-  std::vector<int> replicas;  // slots of resident (non-dead) replicas
+  std::vector<int> replicas;  // ids of resident (non-dead) replicas
 };
 
-// What the node engine needs from the global control plane.
+// The node engine's events, handled above it.
 class NodeHost {
  public:
   virtual ~NodeHost() = default;
 
-  virtual Simulator& sim() = 0;
-  virtual const serving::BatchingConfig& batching_config() const = 0;
-  virtual const serving::BatchCostModel& model_cost(std::size_t model) const = 0;
-  virtual serving::PriorityTier model_tier(std::size_t model) const = 0;
-
-  // LLM serving hooks. model_llm returns null for fixed-cost services;
-  // model_llm_cost may only be called for models where it is non-null.
-  virtual const serving::LlmServiceConfig* model_llm(std::size_t model) const = 0;
-  virtual const serving::LlmCostModel& model_llm_cost(std::size_t model) const = 0;
-  // Per-GPU device memory, the budget replica state + KV caches carve from.
-  virtual std::size_t gpu_memory_bytes() const = 0;
-
   // A batch just finished on `replica` (its in_flight holds the batch, its
   // batch_start/dispatch_reason describe it). The host owns per-request
   // completion accounting, spans, and the response network leg.
-  virtual void OnBatchServed(NodeEngine& node, Replica& replica) = 0;
+  virtual void OnBatchServed(Replica& replica) = 0;
 
   // One continuous-batching decode step finished on `replica`: `batch`
   // sequences each emitted one token between `start` and `end`, of which
   // `prefills` joined (and prefilled) this step. Fires before sequence
   // completions, so the host sees the step that produced them.
-  virtual void OnDecodeStep(NodeEngine& node, Replica& replica, int batch, int prefills,
-                            TimeUs start, TimeUs end) = 0;
+  virtual void OnDecodeStep(Replica& replica, int batch, int prefills, TimeUs start,
+                            TimeUs end) = 0;
 
   // `request` finished its generation during the step [step_start, step_end].
   // The host owns completion accounting (TTFT/TPOT) and the response leg.
-  virtual void OnSequenceFinished(NodeEngine& node, Replica& replica,
-                                  const serving::Request& request, TimeUs step_start,
-                                  TimeUs step_end) = 0;
+  virtual void OnSequenceFinished(Replica& replica, const serving::Request& request,
+                                  TimeUs step_start, TimeUs step_end) = 0;
 
   // `request` was preempted for KV-cache pressure and requeued; it will
   // recompute its context from the prompt when it rejoins.
-  virtual void OnKvEviction(NodeEngine& node, Replica& replica,
-                            const serving::Request& request) = 0;
+  virtual void OnKvEviction(Replica& replica, const serving::Request& request) = 0;
 
   // A replica stopped running (retired or killed) after being active since
   // `active_since`; the host integrates replica-seconds.
   virtual void AccountReplicaTime(TimeUs active_since) = 0;
-
-  // Whether per-request latency attribution is enabled for this run
-  // (telemetry hub with EnableAttribution). Constant over the engine's
-  // lifetime; when false the engine never touches request ledgers.
-  virtual bool attribution() const = 0;
 };
 
 class NodeEngine {
  public:
-  NodeEngine(int node_id, int num_gpus, NodeHost* host);
+  NodeEngine(int node_id, int num_gpus, ClusterContext* ctx, NodeHost* host);
   NodeEngine(const NodeEngine&) = delete;
   NodeEngine& operator=(const NodeEngine&) = delete;
 
-  int node_id() const { return node_id_; }
-  bool alive() const { return alive_; }
+  bool alive() const { return summary_.alive_end; }
   // Marks the node and every GPU on it dead. Replicas are killed separately
-  // (KillReplica per slot) so the control plane can account each one.
+  // (KillReplica per id) so the control plane can account each one.
   void MarkDead();
 
   int num_gpus() const { return static_cast<int>(gpus_.size()); }
   GpuShard& gpu(int local) { return gpus_[static_cast<std::size_t>(local)]; }
   const GpuShard& gpu(int local) const { return gpus_[static_cast<std::size_t>(local)]; }
 
-  Replica& replica(int slot) { return replicas_[static_cast<std::size_t>(slot)]; }
-  const Replica& replica(int slot) const { return replicas_[static_cast<std::size_t>(slot)]; }
-
   // Least-interference GPU for a new replica of `job` on this node, with the
   // (added interference, resident count) score for cross-node comparison.
   // nullopt when nothing fits (or the node is dead).
   std::optional<int> BestPlacement(const cluster::JobSignature& job,
-                                   std::size_t gpu_memory_bytes, int max_replicas_per_gpu,
                                    cluster::PlacementEngine::PlacementScore* score) const;
 
-  // Creates a replica with global id `id` on `local_gpu`; returns its slot.
-  // Active immediately when `active`, else left provisioning (the control
-  // plane schedules activation).
-  int CreateReplica(int id, std::size_t model, int local_gpu, bool active, TimeUs now);
+  // Appends a replica of `model` on `local_gpu` to the store; its id is its
+  // index there. Active immediately when `active`, else left provisioning
+  // until the control plane calls Activate.
+  void CreateReplica(std::size_t model, int local_gpu, bool active);
+  void Activate(int id) {
+    Replica& r = replica(id);
+    r.state = Replica::State::kActive;
+    r.active_since = ctx_->sim.now();
+    r.idle_since = ctx_->sim.now();  // the idle clock starts with the replica
+  }
 
-  // Queues a routed request at `slot` and dispatches if a batch is ready.
-  void EnqueueAt(int slot, serving::Request request);
+  // Queues a routed request at replica `id` and dispatches if a batch is ready.
+  void EnqueueAt(int id, serving::Request request);
 
-  // Stops routing to `slot`; the replica retires once idle and empty.
-  void DrainReplica(int slot);
+  // Stops routing to `id`; the replica retires once idle and empty.
+  void DrainReplica(int id);
 
-  // Kills `slot` (fault path): cancels its events, releases its GPU, and
+  // Kills `id` (fault path): cancels its events, releases its GPU, and
   // returns the orphaned requests (in-flight batch first, then the queue)
   // for the control plane to re-route.
-  std::vector<serving::Request> KillReplica(int slot);
+  std::vector<serving::Request> KillReplica(int id);
 
   // Predicted time to drain everything ahead of a new arrival at `r`.
   DurationUs OutstandingUs(const Replica& r) const;
+
+  // This node's activity so far; alive_end is its current liveness.
+  const NodeSummary& summary() const { return summary_; }
+
+ private:
+  Replica& replica(int id) { return ctx_->replicas[static_cast<std::size_t>(id)]; }
+  const Replica& replica(int id) const { return ctx_->replicas[static_cast<std::size_t>(id)]; }
+  const Service& service(const Replica& r) const { return ctx_->services[r.model]; }
+
+  void TryDispatch(int id);
+  void StartBatch(int id);
+  void OnBatchComplete(int id);
+  // Puts `r` to work for `iso_us` of isolated service time scaled by
+  // `slowdown`, then calls `done(r.id)`.
+  void Occupy(Replica& r, DurationUs iso_us, double slowdown, void (NodeEngine::*done)(int));
+  // Ends `r`'s batch or step: the autoscaler window takes the rest of its
+  // busy time and the idle clock restarts.
+  void Vacate(Replica& r);
+  // Continuous (iteration-level) batching, Orca-style: one decode step at a
+  // time; sequences join/leave between steps (DESIGN.md §13).
+  void TryStepLlm(int id);
+  void OnLlmStepComplete(int id);
+  // Frees the newest running sequence's KV and requeues it (preemption with
+  // recompute under KV pressure, vLLM-style).
+  void PreemptNewestLlm(Replica& r);
+  void RetireReplica(Replica& r);
+  void ReleaseFromGpu(const Replica& r);
+  // Folds [idle_since, now] into idle_accum_us for an idle running replica
+  // (attribution only; a no-op when it is off).
+  void SyncIdle(Replica& r);
   // Interference slowdown from `r`'s running GPU co-residents.
   double Slowdown(const Replica& r) const;
 
-  std::size_t batches_served() const { return batches_served_; }
-  std::size_t requests_served() const { return requests_served_; }
-  std::size_t replicas_created() const { return replicas_.size(); }
-  std::size_t replicas_killed() const { return replicas_killed_; }
-
- private:
-  void TryDispatch(int slot);
-  void StartBatch(int slot);
-  void OnBatchComplete(int slot);
-  // Continuous (iteration-level) batching, Orca-style: one decode step at a
-  // time; sequences join/leave between steps (DESIGN.md §13).
-  void TryStepLlm(int slot);
-  void OnLlmStepComplete(int slot);
-  // Frees the newest running sequence's KV and requeues it (preemption with
-  // recompute under KV pressure, vLLM-style).
-  void PreemptNewestLlm(int slot);
-  // Request-level LLM batching (llm.continuous off): the baseline where a
-  // batch decodes to its longest target before anything completes.
-  void StartLlmBatch(int slot);
-  void RetireReplica(int slot);
-  void ReleaseFromGpu(int slot);
-  // Folds [idle_since, now] into idle_accum_us for a non-busy replica.
-  // Attribution-only bookkeeping; callers guard on attr_.
-  void SyncIdle(Replica& r);
-
-  int node_id_;
-  bool alive_ = true;
+  ClusterContext* ctx_;
   NodeHost* host_;
-  bool attr_ = false;  // host_->attribution(), cached at construction
+  bool attr_;  // ctx_->attribution
   std::vector<GpuShard> gpus_;
-  std::deque<Replica> replicas_;  // stable addresses; indexed by slot
-  std::size_t batches_served_ = 0;
-  std::size_t requests_served_ = 0;
-  std::size_t replicas_killed_ = 0;
+  NodeSummary summary_;  // the node's id, liveness and counters
 };
 
 }  // namespace datacenter

@@ -45,8 +45,7 @@ void GpuRuntime::Submit(const Op& op, gpusim::StreamId stream, CompletionCb done
       const std::size_t bytes = op.bytes;
       const std::uint64_t client = op.client_id;
       device_.SynchronizeDevice([this, bytes, client, done = std::move(done)]() mutable {
-        const MemHandle handle = memory_.Allocate(bytes, client);
-        ORION_CHECK_MSG(handle != kInvalidMemHandle,
+        ORION_CHECK_MSG(memory_.Allocate(bytes, client),
                         "device OOM: requested " << bytes << "B with " << memory_.available()
                                                  << "B available");
         if (done) {

@@ -7,26 +7,22 @@ namespace runtime {
 
 MemoryManager::MemoryManager(std::size_t capacity_bytes) : capacity_(capacity_bytes) {}
 
-MemHandle MemoryManager::Allocate(std::size_t bytes, std::uint64_t client) {
+bool MemoryManager::Allocate(std::size_t bytes, std::uint64_t client) {
   if (bytes > available()) {
-    return kInvalidMemHandle;
+    return false;
   }
-  const MemHandle handle = next_handle_++;
-  allocations_.emplace(handle, Allocation{bytes, client});
+  client_bytes_[client] += bytes;
   used_ += bytes;
-  return handle;
+  return true;
 }
 
 std::size_t MemoryManager::ReleaseClient(std::uint64_t client) {
-  std::size_t released = 0;
-  for (auto it = allocations_.begin(); it != allocations_.end();) {
-    if (it->second.client == client) {
-      released += it->second.bytes;
-      it = allocations_.erase(it);
-    } else {
-      ++it;
-    }
+  const auto it = client_bytes_.find(client);
+  if (it == client_bytes_.end()) {
+    return 0;
   }
+  const std::size_t released = it->second;
+  client_bytes_.erase(it);
   ORION_CHECK(used_ >= released);
   used_ -= released;
   return released;

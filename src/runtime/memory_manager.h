@@ -13,19 +13,16 @@
 namespace orion {
 namespace runtime {
 
-using MemHandle = std::uint64_t;
-constexpr MemHandle kInvalidMemHandle = 0;
-
 class MemoryManager {
  public:
   explicit MemoryManager(std::size_t capacity_bytes);
 
-  // Returns kInvalidMemHandle when the allocation would exceed capacity.
-  // `client` tags the allocation with its owning client (0 = unattributed)
-  // so a crashed client's memory can be reclaimed wholesale.
-  MemHandle Allocate(std::size_t bytes, std::uint64_t client = 0);
-  // Frees every live allocation tagged with `client` (process-exit cleanup,
-  // src/fault). Returns the number of bytes released.
+  // Returns false when the allocation would exceed capacity. `client` tags
+  // the bytes with their owning client (0 = unattributed) so a crashed
+  // client's memory can be reclaimed wholesale.
+  bool Allocate(std::size_t bytes, std::uint64_t client = 0);
+  // Frees every byte tagged with `client` (process-exit cleanup, src/fault).
+  // Returns the number of bytes released.
   std::size_t ReleaseClient(std::uint64_t client);
 
   std::size_t used() const { return used_; }
@@ -35,15 +32,9 @@ class MemoryManager {
   }
 
  private:
-  struct Allocation {
-    std::size_t bytes = 0;
-    std::uint64_t client = 0;
-  };
-
   std::size_t capacity_;
   std::size_t used_ = 0;
-  MemHandle next_handle_ = 1;
-  std::unordered_map<MemHandle, Allocation> allocations_;
+  std::unordered_map<std::uint64_t, std::size_t> client_bytes_;
 };
 
 }  // namespace runtime

@@ -1,9 +1,10 @@
 #include "src/serving/serving.h"
 
-// The serving engine itself lives in src/datacenter/cluster_engine.cc since
-// the datacenter split: a global control plane (arrivals, admission, node
-// routing, limbo, autoscaling, faults, accounting) over per-node engines
-// (src/datacenter/node_engine.h). RunServing is defined there as the
+// The serving engine itself lives in src/datacenter since the datacenter
+// split: a control plane (arrivals, admission, node routing, limbo,
+// autoscaling, faults) and the request accounting (src/datacenter/
+// cluster_engine.h) over per-node engines (src/datacenter/node_engine.h).
+// RunServing is defined in src/datacenter/cluster_engine.cc as the
 // num_nodes == 1 special case. This file keeps the pure helpers on the
 // public serving types.
 

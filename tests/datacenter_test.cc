@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
+#include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -14,6 +17,7 @@
 #include "src/datacenter/cluster_topology.h"
 #include "src/fault/fault_plan.h"
 #include "src/serving/serving.h"
+#include "src/telemetry/exporters.h"
 #include "src/workloads/models.h"
 #include "tests/test_util.h"
 
@@ -454,6 +458,100 @@ TEST(DatacenterGoldenTest, NoRequestLostUnderNodeFaultChurn) {
     const ModelServingResult& m = result.serving.models[0];
     EXPECT_EQ(m.total_offered,
               m.total_completed + m.total_shed + m.total_dropped + m.left_in_system);
+  }
+}
+
+// A traced, attribution-enabled 3-node run with an LLM service beside a
+// fixed-cost one and a node death. The digest covers the exported Chrome
+// trace, metrics snapshot and attribution CSV, so a change that reorders
+// spans, counters or blame rows shows up even when ClusterResult does not
+// move.
+TEST(DatacenterGoldenTest, NetworkedTelemetryExports) {
+  ClusterConfig config = GoldenNodeDown(3u);
+  ModelServiceConfig llm = GoldenLlm(3, 3u).serving.models[0];
+  llm.rps = 60.0;
+  llm.initial_replicas = 2;
+  llm.max_replicas = 3;
+  config.serving.models.push_back(llm);
+  telemetry::Hub hub;
+  hub.EnableTracing();
+  hub.EnableAttribution();
+  config.serving.telemetry = &hub;
+  const ClusterResult result = RunCluster(config);
+  EXPECT_EQ(result.node_faults, 1u);
+  EXPECT_GT(result.serving.models[0].failed_over, 0u);
+  EXPECT_GT(result.serving.models[1].decode_steps, 0u);
+
+  std::ostringstream trace;
+  std::ostringstream metrics;
+  std::ostringstream blame;
+  telemetry::WriteChromeTrace(hub, trace);
+  telemetry::WriteMetricsCsv(hub.metrics(), metrics);
+  attribution::WriteAttributionCsv(hub.attribution(), blame);
+  testutil::BitDigest d;
+  d.Str(trace.str());
+  d.Str(metrics.str());
+  d.Str(blame.str());
+  EXPECT_EQ(d.value(), 0x8078b0215b2289a9ULL) << std::hex << "digest 0x" << d.value();
+}
+
+// --- Trace shape. ---
+
+// An autoscaler evaluating in the middle of a batch must not move where the
+// batch's trace slice starts: every `batch:` slice starts where the
+// `execute` spans of the requests it served start, and every flow arrow
+// ends at the instant it started.
+TEST(DatacenterTest, BatchSlicesStartAtDispatchUnderFastAutoscaler) {
+  ClusterConfig config = SmallCluster(1, 2);
+  config.serving.models[0].rps = 400.0;
+  config.serving.batching.max_batch_size = 16;
+  config.serving.autoscaler.enabled = true;
+  // Far shorter than one batch of 16 ResNet50 requests.
+  config.serving.autoscaler.eval_period_us = 100.0;
+  telemetry::Hub hub;
+  hub.EnableTracing();
+  config.serving.telemetry = &hub;
+  RunCluster(config);
+
+  struct Slice {
+    TimeUs start = 0.0;
+    TimeUs end = 0.0;
+  };
+  // Without a network a request's execute span ends with its batch, so
+  // (replica, end) names the batch.
+  std::map<std::pair<std::int64_t, TimeUs>, TimeUs> batch_start;
+  std::map<std::int64_t, Slice> execute;       // by request id
+  std::map<std::int64_t, std::int64_t> server;  // request id -> replica id
+  std::map<std::uint64_t, TimeUs> flow_start;
+  std::map<std::uint64_t, TimeUs> flow_end;
+  for (const telemetry::TraceEvent& e : hub.spans().events()) {
+    if (e.kind == telemetry::TraceEventKind::kFlowStart) {
+      flow_start[e.id] = e.ts;
+    } else if (e.kind == telemetry::TraceEventKind::kFlowEnd) {
+      flow_end[e.id] = e.ts;
+    } else if (e.kind != telemetry::TraceEventKind::kComplete) {
+      continue;
+    } else if (e.name.rfind("batch:", 0) == 0) {
+      batch_start[{e.tid, e.ts + e.dur}] = e.ts;
+    } else if (e.name == "execute") {
+      execute[e.tid] = {e.ts, e.ts + e.dur};
+    } else if (e.name == "request") {
+      for (const auto& [key, value] : e.args) {
+        if (key == "replica") {
+          server[e.tid] = std::stoll(value);
+        }
+      }
+    }
+  }
+  ASSERT_GT(execute.size(), 100u);
+  for (const auto& [request, span] : execute) {
+    const auto it = batch_start.find({server.at(request), span.end});
+    ASSERT_NE(it, batch_start.end()) << "request " << request;
+    EXPECT_EQ(it->second, span.start) << "request " << request;
+  }
+  ASSERT_EQ(flow_start.size(), flow_end.size());
+  for (const auto& [id, ts] : flow_start) {
+    EXPECT_EQ(flow_end.at(id), ts) << "flow " << id;
   }
 }
 

@@ -83,23 +83,23 @@ TEST_F(RuntimeTest, EventQueryNonBlocking) {
 
 TEST(MemoryManagerTest, AllocateFreeCycle) {
   MemoryManager mem(1000);
-  const MemHandle a = mem.Allocate(400, /*client=*/1);
-  const MemHandle b = mem.Allocate(500, /*client=*/2);
-  EXPECT_NE(a, kInvalidMemHandle);
-  EXPECT_NE(b, kInvalidMemHandle);
+  EXPECT_TRUE(mem.Allocate(300, /*client=*/1));
+  EXPECT_TRUE(mem.Allocate(500, /*client=*/2));
+  EXPECT_TRUE(mem.Allocate(100, /*client=*/1));
   EXPECT_EQ(mem.used(), 900u);
   EXPECT_EQ(mem.available(), 100u);
-  // Memory is freed per client, at process exit.
+  // Memory is freed per client, at process exit: both of client 1's
+  // allocations go at once.
   EXPECT_EQ(mem.ReleaseClient(1), 400u);
   EXPECT_EQ(mem.used(), 500u);
   EXPECT_EQ(mem.ReleaseClient(1), 0u);
-  EXPECT_NE(mem.Allocate(500, /*client=*/3), kInvalidMemHandle);
+  EXPECT_TRUE(mem.Allocate(500, /*client=*/3));
 }
 
 TEST(MemoryManagerTest, RejectsOverCapacity) {
   MemoryManager mem(1000);
-  EXPECT_NE(mem.Allocate(1000), kInvalidMemHandle);
-  EXPECT_EQ(mem.Allocate(1), kInvalidMemHandle);
+  EXPECT_TRUE(mem.Allocate(1000));
+  EXPECT_FALSE(mem.Allocate(1));
   EXPECT_DOUBLE_EQ(mem.utilization(), 1.0);
 }
 
