@@ -168,7 +168,6 @@ int main(int argc, char** argv) {
     e.kind = fault::FaultKind::kLinkDown;
     e.at_us = 25000.0;
     e.link = s.config.topology.NvLinkBetween(ring[0], ring[1]);
-    e.dir = fault::LinkDir::kBoth;
     e.duration_us = 2800.0;
     s.config.fault_plan.events.push_back(e);
     ddp_scenarios.push_back(std::move(s));

@@ -67,10 +67,13 @@ struct Placement {
   double predicted_interference = 0.0;
 };
 
+// Place and PlaceRoundRobin put at most this many jobs on one GPU: Orion
+// collocates one latency-critical job with one best-effort job.
+constexpr int kMaxJobsPerGpu = 2;
+
 struct PlacementOptions {
   int num_gpus = 1;
   gpusim::DeviceSpec device = gpusim::DeviceSpec::V100_16GB();
-  int max_jobs_per_gpu = 2;
   // Node link topology, used to score candidate GPU sets for multi-GPU jobs
   // (fewer PCIe-crossing ring hops wins). Unset = all sets link-equivalent.
   // When set, its GPU count must equal num_gpus.

@@ -176,11 +176,11 @@ void CollectiveEngine::OnStepTimeout(const std::shared_ptr<RingOp>& op) {
   }
   if (dead.empty()) {
     // Every member is reachable: a flap or congestion. Wait it out with
-    // growing patience; after max_step_timeouts stop re-arming and let the
+    // growing patience; after kMaxStepTimeouts stop re-arming and let the
     // fabric deliver whenever it heals (bounds timer churn on a permanent
     // stall the plan never repairs).
     ++op->timeouts;
-    if (op->timeouts >= options_.max_step_timeouts) {
+    if (op->timeouts >= kMaxStepTimeouts) {
       timeout_giveups_->Inc();
       return;
     }
@@ -239,7 +239,7 @@ void CollectiveEngine::IssueSend(const std::shared_ptr<RingOp>& op, int src, int
   if (channel != channels_.end()) {
     // Bound GPUs issue through their comm stream: the send occupies the
     // stream until the wire transfer completes, FIFO with other comm
-    // ops, and is visible to StreamIdle / SynchronizeDevice.
+    // ops, and is visible to StreamIdle.
     channel->second.device->EnqueueExternal(
         channel->second.stream,
         [this, op, epoch, src, dst, bytes](gpusim::Device::ExternalDone on_wire_done) {

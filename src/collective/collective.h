@@ -47,11 +47,12 @@ namespace collective {
 // pre-fault-subsystem behaviour.
 struct CollectiveOptions {
   DurationUs step_timeout_us = 0.0;  // 0 = detection off
-  // After this many consecutive timeouts with all members alive, stop
-  // re-arming and wait for the fabric (bounds timer events on a stall the
-  // plan never heals).
-  int max_step_timeouts = 4;
 };
+
+// After this many consecutive timeouts with all members alive, stop
+// re-arming and wait for the fabric (bounds timer events on a stall the plan
+// never heals).
+constexpr int kMaxStepTimeouts = 4;
 
 class CollectiveEngine {
  public:
@@ -95,7 +96,7 @@ class CollectiveEngine {
   std::size_t reformations() const { return static_cast<std::size_t>(reformations_->AsCount()); }
   // Step timeouts that fired (flap waits and death detections both count).
   std::size_t step_timeouts() const { return static_cast<std::size_t>(step_timeouts_->AsCount()); }
-  // Stalls where re-arming stopped after max_step_timeouts.
+  // Stalls where re-arming stopped after kMaxStepTimeouts.
   std::size_t timeout_giveups() const {
     return static_cast<std::size_t>(timeout_giveups_->AsCount());
   }

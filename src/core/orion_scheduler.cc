@@ -56,7 +56,6 @@ void OrionScheduler::BindCounters() {
   clients_quarantined_ = reg.GetCounter("orion.clients_quarantined");
   runaway_quarantines_ = reg.GetCounter("orion.runaway_quarantines");
   be_ops_dropped_ = reg.GetCounter("orion.be_ops_dropped");
-  be_bytes_released_ = reg.GetCounter("orion.be_bytes_released");
   if (hub_ != nullptr && hub_->tracing()) {
     trace_track_ = hub_->spans().Track("orion-sched");
   }
@@ -154,9 +153,6 @@ void OrionScheduler::OnClientCrash(ClientId client) {
     be_duration_ = std::max(0.0, be_duration_ - be.outstanding_us);
     be.outstanding_us = 0.0;
     be.outstanding_trusted_us = 0.0;
-    const std::size_t before = rt_->memory().used();
-    rt_->memory().ReleaseClient(static_cast<std::uint64_t>(client));
-    be_bytes_released_->Inc(static_cast<double>(before - rt_->memory().used()));
     clients_quarantined_->Inc();
     MarkQuarantine(client, "quarantine");
     // Surviving best-effort clients may take the recredited budget now.

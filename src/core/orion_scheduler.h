@@ -74,7 +74,7 @@ class OrionScheduler : public Scheduler {
               std::vector<SchedClientInfo> clients) override;
   void Enqueue(ClientId client, SchedOp op) override;
   // Drops the crashed client's queued ops, removes its contribution from the
-  // DUR_THRESHOLD accounting, and releases its device memory. Later enqueues
+  // DUR_THRESHOLD accounting. Later enqueues
   // from the client are dropped. Never stalls hp work or surviving be
   // clients; resident kernels of the dead client run out on the device
   // (there is no preemption to reclaim them early).
@@ -187,7 +187,6 @@ class OrionScheduler : public Scheduler {
   telemetry::Counter* clients_quarantined_ = nullptr;
   telemetry::Counter* runaway_quarantines_ = nullptr;
   telemetry::Counter* be_ops_dropped_ = nullptr;
-  telemetry::Counter* be_bytes_released_ = nullptr;
 };
 
 }  // namespace core

@@ -77,8 +77,8 @@ class Scheduler {
 
   // --- Fault hooks (src/fault). Default: ignore. ---
   // `client`'s process died. Policies that buffer per-client queues should
-  // drop its pending ops, stop issuing on its behalf, and release whatever
-  // device memory it held, without disturbing the surviving clients.
+  // drop its pending ops and stop issuing on its behalf, without disturbing
+  // the surviving clients.
   virtual void OnClientCrash(ClientId client) { (void)client; }
   // The device lost SMs or memory bandwidth (Device::DegradeSms /
   // ScaleMembw already applied). Policies whose thresholds derive from

@@ -30,20 +30,18 @@ ClusterContext::ClusterContext(const ClusterConfig& cluster_config)
     ORION_CHECK(cfg.rps > 0.0);
     ORION_CHECK(cfg.slo_us > 0.0);
     ORION_CHECK(cfg.initial_replicas >= 1);
-    ORION_CHECK(cfg.min_replicas >= 1);
     ORION_CHECK(cfg.max_replicas >= cfg.initial_replicas);
     Service& service = services.emplace_back(Service{
         cfg,
         serving::BatchCostModel(config.device, cfg.workload,
-                                cfg.tier == serving::PriorityTier::kLatencyCritical,
-                                config.launch_overhead_us),
-        nullptr});
+                                cfg.tier == serving::PriorityTier::kLatencyCritical),
+        nullptr,
+        {}});
     if (cfg.llm.enabled) {
       ORION_CHECK_MSG(cfg.workload.model == workloads::ModelId::kLlmDecode,
                       "LLM serving requires the kLlmDecode workload");
       // The cost model's constructor validates the LLM shape parameters.
-      service.llm_cost = std::make_unique<serving::LlmCostModel>(config.device, cfg.llm,
-                                                                 config.launch_overhead_us);
+      service.llm_cost = std::make_unique<serving::LlmCostModel>(config.device, cfg.llm);
       // Replica state = the weights; the KV cache is carved separately out
       // of whatever device memory remains at placement (node_engine.cc).
       service.cost.OverrideStateBytes(workloads::LlmWeightBytes(cfg.llm.model));

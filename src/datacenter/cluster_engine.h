@@ -3,7 +3,7 @@
 // below, around one ClusterContext and runs the simulation.
 //
 //   Accounting    (accounting.cc)     every instrument the results are read
-//                                     back from; the node engines' NodeHost
+//                                     back from; the node engines' events
 //   Network       (network.cc)        NIC fabrics, legs in flight, node cut
 //   ControlPlane  (control_plane.cc)  arrivals, admission, routing, replica
 //                                     lifecycle, faults, autoscaling
@@ -82,9 +82,10 @@ class Network {
 // registry is the source of truth the ClusterResult is read back from, so an
 // exported CSV snapshot reproduces the printed numbers exactly. Instruments
 // bind against the hub's registry, or a private one when no hub is
-// configured, so they are never null. As the nodes' host it completes every
-// served request, after the response leg on a networked cluster.
-class Accounting : public NodeHost {
+// configured, so they are never null. It handles the node engines' events:
+// it completes every served request, after the response leg on a networked
+// cluster.
+class Accounting {
  public:
   // What can happen to a request. Each outcome is counted over the whole run
   // (failovers and SLO hits excepted), the measurement window and the
@@ -114,12 +115,26 @@ class Accounting : public NodeHost {
   // An instant marker on the control track (tracing only).
   void Mark(const std::string& name, telemetry::Labels args);
 
-  void OnBatchServed(Replica& r) override;
-  void OnDecodeStep(Replica& r, int batch, int prefills, TimeUs start, TimeUs end) override;
+  // --- The node engines' events. ---
+  // A batch just finished on `r` (its in_flight holds the batch, its
+  // batch_start/dispatch_reason describe it): per-request completion
+  // accounting, spans, and the response network leg.
+  void OnBatchServed(Replica& r);
+  // One continuous-batching decode step finished on `r`: `batch` sequences
+  // each emitted one token between `start` and `end`, of which `prefills`
+  // joined (and prefilled) this step. Fires before sequence completions, so
+  // the step that produced them is seen first.
+  void OnDecodeStep(Replica& r, int batch, int prefills, TimeUs start, TimeUs end);
+  // `request` finished its generation during the step [step_start, step_end]:
+  // completion accounting (TTFT/TPOT) and the response leg.
   void OnSequenceFinished(Replica& r, const serving::Request& request, TimeUs step_start,
-                          TimeUs step_end) override;
-  void OnKvEviction(Replica& r, const serving::Request& request) override;
-  void AccountReplicaTime(TimeUs active_since) override;
+                          TimeUs step_end);
+  // `request` was preempted for KV-cache pressure and requeued; it will
+  // recompute its context from the prompt when it rejoins.
+  void OnKvEviction(Replica& r, const serving::Request& request);
+  // A replica stopped running (retired or killed) after being active since
+  // `active_since`: integrates replica-seconds.
+  void AccountReplicaTime(TimeUs active_since);
 
   // Service `m`'s results, with `left` requests still in the system and
   // `final_replicas` active at the end; checks the accounting identity.
@@ -210,7 +225,6 @@ class ControlPlane {
     // Admitted requests with no active replica to queue at (all replicas
     // provisioning after a failover); drained on the next activation.
     std::deque<serving::Request> limbo;
-    std::vector<int> replicas;  // every global replica id ever created
   };
 
   Replica& replica(int id) { return ctx_->replicas[static_cast<std::size_t>(id)]; }

@@ -47,7 +47,7 @@ ControlPlane::ControlPlane(ClusterContext* ctx, Accounting* accounting, Network*
   }
   Rng root(ctx->config.seed);
   for (std::size_t m = 0; m < ctx->services.size(); ++m) {
-    services_.push_back({MakeArrivals(ctx->services[m].cfg), root.Fork(m), {}, {}});
+    services_.push_back({MakeArrivals(ctx->services[m].cfg), root.Fork(m), {}});
   }
 }
 
@@ -137,7 +137,7 @@ std::pair<int, DurationUs> ControlPlane::PickReplica(std::size_t m) const {
   int best = -1;
   int best_node = -1;
   DurationUs best_us = std::numeric_limits<double>::infinity();
-  for (const int id : services_[m].replicas) {
+  for (const int id : ctx_->services[m].replicas) {
     const Replica& r = ctx_->replicas[static_cast<std::size_t>(id)];
     const NodeEngine& node = nodes_[static_cast<std::size_t>(r.node)];
     if (r.state != Replica::State::kActive || !node.alive()) {
@@ -178,7 +178,7 @@ void ControlPlane::Deliver(int node, Request request, std::optional<RouteReason>
   // Active replicas of `m` on `node`, sorted by global id (creation order).
   std::vector<serving::ReplicaView> views;
   const NodeEngine& engine = nodes_[static_cast<std::size_t>(node)];
-  for (const int id : services_[m].replicas) {
+  for (const int id : ctx_->services[m].replicas) {
     const Replica& r = replica(id);
     if (r.node != node || r.state != Replica::State::kActive) {
       continue;
@@ -238,7 +238,6 @@ bool ControlPlane::AddReplica(std::size_t m, bool immediate) {
   }
   const int id = static_cast<int>(ctx_->replicas.size());
   nodes_[static_cast<std::size_t>(best_node)].CreateReplica(m, best_gpu, immediate);
-  services_[m].replicas.push_back(id);
   if (!immediate && !ctx_->network_on()) {
     Provision(id);
   } else if (!immediate) {
@@ -282,7 +281,7 @@ void ControlPlane::ActivateReplica(int id) {
 bool ControlPlane::RemoveOneReplica(std::size_t m) {
   int victim = -1;
   std::size_t victim_load = 0;
-  for (const int id : services_[m].replicas) {
+  for (const int id : ctx_->services[m].replicas) {
     const Replica& r = replica(id);
     if (r.state != Replica::State::kActive) {
       continue;
@@ -301,7 +300,7 @@ bool ControlPlane::RemoveOneReplica(std::size_t m) {
 }
 
 int ControlPlane::PendingReplicas(std::size_t m) const {
-  const std::vector<int>& ids = services_[m].replicas;
+  const std::vector<int>& ids = ctx_->services[m].replicas;
   return static_cast<int>(std::count_if(ids.begin(), ids.end(), [this](int id) {
     return ctx_->replicas[static_cast<std::size_t>(id)].state == Replica::State::kProvisioning;
   }));
@@ -411,12 +410,11 @@ void ControlPlane::EvalAutoscaler() {
   const serving::AutoscalerConfig& autoscaler = ctx_->config.autoscaler;
   for (std::size_t m = 0; m < services_.size(); ++m) {
     serving::ModelWindowSignals signals = acct_->TakeEvalWindow(m);
-    signals.min_replicas = ctx_->services[m].cfg.min_replicas;
     signals.max_replicas = ctx_->services[m].cfg.max_replicas;
     signals.pending_replicas = PendingReplicas(m);
     double busy = 0.0;
     int active = 0;
-    for (const int id : services_[m].replicas) {
+    for (const int id : ctx_->services[m].replicas) {
       Replica& r = replica(id);
       if (!r.running()) {
         continue;
@@ -466,7 +464,7 @@ void ControlPlane::Finish(ClusterResult* result) {
     const ServiceState& service = services_[m];
     std::size_t left = service.limbo.size() + network_->in_flight(m);
     int final_replicas = 0;
-    for (const int id : service.replicas) {
+    for (const int id : ctx_->services[m].replicas) {
       const Replica& r = replica(id);
       left += r.batcher.size() + r.in_flight.size();
       if (r.state == Replica::State::kActive) {

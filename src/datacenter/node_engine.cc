@@ -5,14 +5,15 @@
 #include <utility>
 
 #include "src/common/check.h"
+#include "src/datacenter/cluster_engine.h"
 
 namespace orion {
 namespace datacenter {
 
-NodeEngine::NodeEngine(int node_id, int num_gpus, ClusterContext* ctx, NodeHost* host)
-    : ctx_(ctx), host_(host), attr_(ctx->attribution) {
+NodeEngine::NodeEngine(int node_id, int num_gpus, ClusterContext* ctx, Accounting* accounting)
+    : ctx_(ctx), accounting_(accounting), attr_(ctx->attribution) {
   ORION_CHECK(num_gpus >= 1);
-  ORION_CHECK(host != nullptr);
+  ORION_CHECK(accounting != nullptr);
   gpus_.resize(static_cast<std::size_t>(num_gpus));
   summary_.node = node_id;
 }
@@ -58,6 +59,7 @@ void NodeEngine::CreateReplica(std::size_t model, int local_gpu, bool active) {
   GpuShard& shard = gpus_[static_cast<std::size_t>(local_gpu)];
   shard.used_bytes += service(r).cost.state_bytes();
   shard.replicas.push_back(id);
+  ctx_->services[model].replicas.push_back(id);
   if (service(r).llm_cost != nullptr) {
     const serving::LlmServiceConfig& llm = service(r).cfg.llm;
     // Carve the replica's KV cache out of whatever device memory remains
@@ -67,7 +69,6 @@ void NodeEngine::CreateReplica(std::size_t model, int local_gpu, bool active) {
     const std::size_t capacity =
         llm.kv_capacity_bytes > 0 ? std::min(llm.kv_capacity_bytes, free) : free;
     serving::KvCacheConfig kv_config;
-    kv_config.block_tokens = serving::kKvBlockTokens;
     kv_config.bytes_per_token = service(r).llm_cost->kv_bytes_per_token();
     kv_config.capacity_bytes = capacity;
     r.llm = std::make_unique<Replica::LlmState>(kv_config);
@@ -203,12 +204,12 @@ void NodeEngine::OnBatchComplete(int id) {
   summary_.requests += r.in_flight.size();
   if (attr_) {
     // Split the batch's service time into its isolated price (kExecute) and
-    // the collocation stall (kInterference) before the host finalizes.
+    // the collocation stall (kInterference) before the accounting finalizes.
     for (serving::Request& request : r.in_flight) {
       request.ledger.ChargeExecStep(now, r.batch_iso_us);
     }
   }
-  host_->OnBatchServed(r);  // reads r.in_flight / batch_start / reason
+  accounting_->OnBatchServed(r);  // reads r.in_flight / batch_start / reason
   if (r.llm != nullptr) {
     // Request-level LLM baseline: the whole batch's KV lives until the
     // longest generation finished, i.e. right now.
@@ -324,7 +325,7 @@ void NodeEngine::OnLlmStepComplete(int id) {
       ++seq.generated;
     }
   }
-  host_->OnDecodeStep(r, static_cast<int>(n), st.joined_this_step, start, now);
+  accounting_->OnDecodeStep(r, static_cast<int>(n), st.joined_this_step, start, now);
   st.joined_this_step = 0;
   Vacate(r);
   // Finished sequences leave the iteration and release their KV.
@@ -334,7 +335,7 @@ void NodeEngine::OnLlmStepComplete(int id) {
       r.in_flight.erase(r.in_flight.begin() + static_cast<long>(i));
       st.kv.Free(seq.id);
       ++summary_.requests;
-      host_->OnSequenceFinished(r, seq, start, now);
+      accounting_->OnSequenceFinished(r, seq, start, now);
     } else {
       ++i;
     }
@@ -359,7 +360,7 @@ void NodeEngine::PreemptNewestLlm(Replica& r) {
     // until the sequence rejoins a step (recompute wait, not queueing).
     seq.ledger.Advance(ctx_->sim.now(), attribution::Phase::kPreempt);
   }
-  host_->OnKvEviction(r, seq);
+  accounting_->OnKvEviction(r, seq);
   r.batcher.Requeue(std::move(seq));
 }
 
@@ -371,13 +372,15 @@ void NodeEngine::DrainReplica(int id) {
   }
 }
 
-void NodeEngine::ReleaseFromGpu(const Replica& r) {
+void NodeEngine::Release(const Replica& r) {
   GpuShard& shard = gpus_[static_cast<std::size_t>(r.gpu)];
   shard.used_bytes -= service(r).cost.state_bytes();
   if (r.llm != nullptr) {
     shard.used_bytes -= r.llm->kv_reserved_bytes;
   }
   shard.replicas.erase(std::find(shard.replicas.begin(), shard.replicas.end(), r.id));
+  std::vector<int>& live = ctx_->services[r.model].replicas;
+  live.erase(std::find(live.begin(), live.end(), r.id));
 }
 
 void NodeEngine::RetireReplica(Replica& r) {
@@ -385,8 +388,8 @@ void NodeEngine::RetireReplica(Replica& r) {
   ORION_CHECK_MSG(r.llm == nullptr || r.llm->kv.used_blocks() == 0,
                   "retiring LLM replica leaks KV-cache blocks");
   ctx_->sim.Cancel(r.linger);
-  host_->AccountReplicaTime(r.active_since);
-  ReleaseFromGpu(r);
+  accounting_->AccountReplicaTime(r.active_since);
+  Release(r);
   r.state = Replica::State::kDead;
 }
 
@@ -429,10 +432,10 @@ std::vector<serving::Request> NodeEngine::KillReplica(int id) {
     }
   }
   if (r.running()) {
-    host_->AccountReplicaTime(r.active_since);
+    accounting_->AccountReplicaTime(r.active_since);
   }
   r.busy = false;
-  ReleaseFromGpu(r);
+  Release(r);
   r.state = Replica::State::kDead;
   ++summary_.replicas_killed;
   return orphans;

@@ -7,7 +7,7 @@
 // GPUs — everything whose scope is one node. The ControlPlane
 // (cluster_engine.h) owns arrivals, admission, node selection, limbo,
 // autoscaling and faults and calls in here; the node reports its batch
-// events through the NodeHost callbacks, which the Accounting implements.
+// events straight to the Accounting (cluster_engine.h).
 //
 // Replicas live in one store on the ClusterContext, indexed by their global
 // id (creation order across the cluster); a node addresses its replicas by
@@ -94,6 +94,10 @@ struct Service {
   // Per-phase LLM costs; null unless cfg.llm.enabled (its presence is the
   // engine-wide "is this an LLM service" predicate).
   std::unique_ptr<serving::LlmCostModel> llm_cost;
+  // Ids of the service's live (not dead or retired) replicas, in creation
+  // order. The node engines add and remove them; the control plane scans
+  // them on every arrival.
+  std::vector<int> replicas;
 };
 
 // What every part of a cluster run shares: the clock, the run config, the
@@ -125,40 +129,11 @@ struct GpuShard {
   std::vector<int> replicas;  // ids of resident (non-dead) replicas
 };
 
-// The node engine's events, handled above it.
-class NodeHost {
- public:
-  virtual ~NodeHost() = default;
-
-  // A batch just finished on `replica` (its in_flight holds the batch, its
-  // batch_start/dispatch_reason describe it). The host owns per-request
-  // completion accounting, spans, and the response network leg.
-  virtual void OnBatchServed(Replica& replica) = 0;
-
-  // One continuous-batching decode step finished on `replica`: `batch`
-  // sequences each emitted one token between `start` and `end`, of which
-  // `prefills` joined (and prefilled) this step. Fires before sequence
-  // completions, so the host sees the step that produced them.
-  virtual void OnDecodeStep(Replica& replica, int batch, int prefills, TimeUs start,
-                            TimeUs end) = 0;
-
-  // `request` finished its generation during the step [step_start, step_end].
-  // The host owns completion accounting (TTFT/TPOT) and the response leg.
-  virtual void OnSequenceFinished(Replica& replica, const serving::Request& request,
-                                  TimeUs step_start, TimeUs step_end) = 0;
-
-  // `request` was preempted for KV-cache pressure and requeued; it will
-  // recompute its context from the prompt when it rejoins.
-  virtual void OnKvEviction(Replica& replica, const serving::Request& request) = 0;
-
-  // A replica stopped running (retired or killed) after being active since
-  // `active_since`; the host integrates replica-seconds.
-  virtual void AccountReplicaTime(TimeUs active_since) = 0;
-};
+class Accounting;  // cluster_engine.h: handles the node's batch events
 
 class NodeEngine {
  public:
-  NodeEngine(int node_id, int num_gpus, ClusterContext* ctx, NodeHost* host);
+  NodeEngine(int node_id, int num_gpus, ClusterContext* ctx, Accounting* accounting);
   NodeEngine(const NodeEngine&) = delete;
   NodeEngine& operator=(const NodeEngine&) = delete;
 
@@ -227,7 +202,9 @@ class NodeEngine {
   // recompute under KV pressure, vLLM-style).
   void PreemptNewestLlm(Replica& r);
   void RetireReplica(Replica& r);
-  void ReleaseFromGpu(const Replica& r);
+  // Frees `r`'s GPU memory and drops it from its GPU's and its service's
+  // replica lists (retirement and death).
+  void Release(const Replica& r);
   // Folds [idle_since, now] into idle_accum_us for an idle running replica
   // (attribution only; a no-op when it is off).
   void SyncIdle(Replica& r);
@@ -235,7 +212,7 @@ class NodeEngine {
   double Slowdown(const Replica& r) const;
 
   ClusterContext* ctx_;
-  NodeHost* host_;
+  Accounting* accounting_;
   bool attr_;  // ctx_->attribution
   std::vector<GpuShard> gpus_;
   NodeSummary summary_;  // the node's id, liveness and counters

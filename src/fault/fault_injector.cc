@@ -40,7 +40,6 @@ void FaultInjector::MarkFault(const FaultEvent& event) {
     case FaultKind::kGpuDown:
       args.emplace_back("gpu", std::to_string(event.gpu));
       break;
-    case FaultKind::kLinkDegrade:
     case FaultKind::kLinkDown:
       args.emplace_back("link", std::to_string(event.link));
       break;
@@ -99,7 +98,6 @@ void FaultInjector::Apply(const FaultEvent& event) {
     case FaultKind::kDeviceDegrade:
       ApplyDeviceDegrade(event);
       return;
-    case FaultKind::kLinkDegrade:
     case FaultKind::kLinkDown:
       ApplyLinkFault(event);
       return;
@@ -142,13 +140,9 @@ void FaultInjector::ApplyDeviceDegrade(const FaultEvent& event) {
   MarkFault(event);
 }
 
-void FaultInjector::SetLinkFactor(int link, LinkDir dir, double factor) {
-  if (dir == LinkDir::kForward || dir == LinkDir::kBoth) {
-    fabric_->SetLinkFactor(link, /*forward=*/true, factor);
-  }
-  if (dir == LinkDir::kBackward || dir == LinkDir::kBoth) {
-    fabric_->SetLinkFactor(link, /*forward=*/false, factor);
-  }
+void FaultInjector::SetLinkFactor(int link, double factor) {
+  fabric_->SetLinkFactor(link, /*forward=*/true, factor);
+  fabric_->SetLinkFactor(link, /*forward=*/false, factor);
 }
 
 void FaultInjector::ApplyLinkFault(const FaultEvent& event) {
@@ -158,14 +152,11 @@ void FaultInjector::ApplyLinkFault(const FaultEvent& event) {
     skipped_->Inc();
     return;
   }
-  const double factor = event.kind == FaultKind::kLinkDown ? 0.0 : event.factor;
-  SetLinkFactor(event.link, event.dir, factor);
+  SetLinkFactor(event.link, 0.0);
   if (event.duration_us > 0.0) {
     // A flap: the link returns to full speed after the interval.
     const int link = event.link;
-    const LinkDir dir = event.dir;
-    sim_->ScheduleAfter(event.duration_us,
-                        [this, link, dir]() { SetLinkFactor(link, dir, 1.0); });
+    sim_->ScheduleAfter(event.duration_us, [this, link]() { SetLinkFactor(link, 1.0); });
   }
   MarkFault(event);
 }
@@ -181,22 +172,21 @@ void FaultInjector::ApplyGpuDown(const FaultEvent& event) {
   // job; it detects the dead GPU via Fabric::GpuAlive.
   for (const interconnect::Link& link : fabric_->topology().links()) {
     if (link.node_a == event.gpu || link.node_b == event.gpu) {
-      SetLinkFactor(link.id, LinkDir::kBoth, 0.0);
+      SetLinkFactor(link.id, 0.0);
     }
   }
   MarkFault(event);
 }
 
 void FaultInjector::ApplyClientFault(const FaultEvent& event) {
-  if (!client_handler_) {
+  // Driver-side first (a hang submits its runaway kernel through the live
+  // scheduler path), then scheduler-side cleanup for crashes: quarantine the
+  // dead client's queues. A hung client stays attached — detecting it is the
+  // scheduler watchdog's job.
+  if (!client_handler_ || !client_handler_(event)) {
     skipped_->Inc();
     return;
   }
-  // Driver-side first (a hang submits its runaway kernel through the live
-  // scheduler path), then scheduler-side cleanup for crashes: quarantine the
-  // dead client's queues and release its device memory. A hung client stays
-  // attached — detecting it is the scheduler watchdog's job.
-  client_handler_(event);
   if (event.kind == FaultKind::kClientCrash) {
     for (core::Scheduler* scheduler : schedulers_) {
       scheduler->OnClientCrash(event.client);

@@ -8,8 +8,8 @@
 // plan order, and profile poisoning draws from the event's own seed.
 //
 // Link faults with duration_us > 0 schedule a matching restore event that
-// returns the affected direction(s) to full speed — the "flap" shape the
-// collective engine's timeout policy waits out.
+// returns the link to full speed — the "flap" shape the collective engine's
+// timeout policy waits out.
 #ifndef SRC_FAULT_FAULT_INJECTOR_H_
 #define SRC_FAULT_FAULT_INJECTOR_H_
 
@@ -33,9 +33,10 @@ class FaultInjector {
  public:
   // Called for kClientCrash / kClientHang events; the harness owns the
   // client drivers, so it supplies the behaviour (stop the driver, make it
-  // submit the runaway kernel, ...). Scheduler-side quarantine/cleanup is
-  // invoked by the injector itself via Scheduler::OnClientCrash.
-  using ClientFaultHandler = std::function<void(const FaultEvent&)>;
+  // submit the runaway kernel, ...) and returns false when it has no such
+  // client (the event is then skipped). Scheduler-side quarantine is invoked
+  // by the injector itself via Scheduler::OnClientCrash.
+  using ClientFaultHandler = std::function<bool(const FaultEvent&)>;
 
   FaultInjector(Simulator* sim, FaultPlan plan);
   FaultInjector(const FaultInjector&) = delete;
@@ -70,8 +71,8 @@ class FaultInjector {
   void ApplyGpuDown(const FaultEvent& event);
   void ApplyClientFault(const FaultEvent& event);
   void ApplyProfilePoison(const FaultEvent& event);
-  // Sets the bandwidth factor of the selected direction(s) of one link.
-  void SetLinkFactor(int link, LinkDir dir, double factor);
+  // Sets the bandwidth factor of both directions of one link.
+  void SetLinkFactor(int link, double factor);
 
   Simulator* sim_;
   FaultPlan plan_;

@@ -7,8 +7,6 @@ const char* FaultKindName(FaultKind kind) {
   switch (kind) {
     case FaultKind::kDeviceDegrade:
       return "device_degrade";
-    case FaultKind::kLinkDegrade:
-      return "link_degrade";
     case FaultKind::kLinkDown:
       return "link_down";
     case FaultKind::kGpuDown:

@@ -13,16 +13,17 @@
 //     bandwidth drops to `membw_factor` of peak at `at_us`. The device
 //     rebalances resident SM grants (never preempting running blocks) and
 //     the Orion scheduler re-resolves SM_THRESHOLD.
-//   * kLinkDegrade / kLinkDown — a fabric link direction's bandwidth drops
-//     to `factor` (0 for kLinkDown) for `duration_us` (0 = permanent).
-//     In-flight transfers re-rate or stall; the collective engine detects a
-//     stalled ring step by timeout and waits out the flap.
+//   * kLinkDown — both directions of fabric link `link` go down for
+//     `duration_us` (0 = permanent). In-flight transfers stall; the
+//     collective engine detects a stalled ring step by timeout and waits out
+//     the flap.
 //   * kGpuDown — every link touching `gpu` goes down (the GPU fell off the
 //     bus). The collective engine re-forms its ring without the dead GPU and
 //     surfaces the degraded world size.
 //   * kClientCrash — the client process dies: the scheduler quarantines its
-//     software queues and releases its device memory; resident kernels run
-//     to completion (no preemption) but their completions are orphaned.
+//     software queues (and a paging harness frees its pages); resident
+//     kernels run to completion (no preemption) but their completions are
+//     orphaned.
 //   * kClientHang — the client submits a runaway kernel of `runaway_us` and
 //     stops responding; the scheduler's watchdog must keep DUR_THRESHOLD
 //     accounting from deadlocking schedule_be.
@@ -50,7 +51,6 @@ namespace fault {
 
 enum class FaultKind : std::uint8_t {
   kDeviceDegrade,
-  kLinkDegrade,
   kLinkDown,
   kGpuDown,
   kClientCrash,
@@ -60,9 +60,6 @@ enum class FaultKind : std::uint8_t {
 };
 
 const char* FaultKindName(FaultKind kind);
-
-// Which direction(s) of a full-duplex link a link fault hits.
-enum class LinkDir : std::uint8_t { kForward, kBackward, kBoth };
 
 // One timed fault. Only the fields of the event's kind are meaningful; the
 // rest keep their defaults.
@@ -76,10 +73,8 @@ struct FaultEvent {
   int sms_lost = 0;            // kDeviceDegrade
   double membw_factor = 1.0;   // kDeviceDegrade: remaining fraction of peak
 
-  // kLinkDegrade / kLinkDown.
+  // kLinkDown.
   int link = -1;               // interconnect::LinkId
-  LinkDir dir = LinkDir::kBoth;
-  double factor = 0.0;         // kLinkDegrade: remaining bandwidth fraction
   DurationUs duration_us = 0.0;  // > 0: restore to full speed after this long
 
   // kClientCrash / kClientHang.

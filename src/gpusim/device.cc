@@ -128,12 +128,6 @@ void Device::AttachHostLink(HostLinkModel* host_link, int gpu_index) {
   gpu_index_ = gpu_index;
 }
 
-void Device::SynchronizeDevice(CompletionCb done) {
-  ORION_CHECK(done != nullptr);
-  sync_waiters_.push_back(std::move(done));
-  CheckDeviceSync();
-}
-
 double Device::SumGrants() const {
   double total = 0.0;
   for (const RunningKernel& rk : running_) {
@@ -291,7 +285,6 @@ void Device::FinishOp(StreamId stream_id) {
   stream.head_active = false;
   DeliverCallback(std::move(stream.head_done));
   ActivateStreamHead(stream_id);
-  CheckDeviceSync();
 }
 
 void Device::StartNextCopy() {
@@ -587,25 +580,6 @@ void Device::Reschedule() {
     completion_event_ = sim_->ScheduleAfter(next_completion, [this]() { Reschedule(); });
   }
   in_reschedule_ = false;
-}
-
-void Device::CheckDeviceSync() {
-  if (sync_waiters_.empty()) {
-    return;
-  }
-  if (!running_.empty() || copy_active_ || !copy_queue_.empty()) {
-    return;
-  }
-  for (const Stream& stream : streams_) {
-    if (!stream.queue.empty() || stream.head_active) {
-      return;
-    }
-  }
-  std::vector<CompletionCb> waiters;
-  waiters.swap(sync_waiters_);
-  for (CompletionCb& waiter : waiters) {
-    DeliverCallback(std::move(waiter));
-  }
 }
 
 void Device::DeliverCallback(CompletionCb cb) {

@@ -97,14 +97,10 @@ class Device {
   // src/collective): when the op reaches the stream head, `body` runs with a
   // completion callback, and the stream stays blocked until that callback
   // fires. This keeps external work FIFO-ordered with the stream's other ops
-  // and visible to StreamIdle / SynchronizeDevice, without the device
-  // knowing what the work is.
+  // and visible to StreamIdle, without the device knowing what the work is.
   using ExternalDone = std::function<void()>;
   using ExternalBody = std::function<void(ExternalDone)>;
   void EnqueueExternal(StreamId stream, ExternalBody body, CompletionCb done = nullptr);
-  // Fires once every stream has drained (device-wide synchronisation, the
-  // semantics cudaMalloc/cudaFree impose in §5.1.3).
-  void SynchronizeDevice(CompletionCb done);
 
   // --- Introspection (used by schedulers, tests, and benches). ---
   int FreeSms() const;
@@ -272,7 +268,6 @@ class Device {
   // the next op.
   void FinishOp(StreamId stream);
   void StartNextCopy();
-  void CheckDeviceSync();
   void DeliverCallback(CompletionCb cb);
 
   Simulator* sim_;
@@ -306,8 +301,6 @@ class Device {
   EventHandle copy_event_;
   HostLinkModel* host_link_ = nullptr;  // optional shared link fabric
   int gpu_index_ = 0;                   // this device's id in the fabric
-
-  std::vector<CompletionCb> sync_waiters_;
 
   std::size_t kernels_completed_ = 0;
   std::size_t memcpys_completed_ = 0;

@@ -88,9 +88,6 @@ ClientDriver::ClientDriver(Simulator* sim, core::Scheduler* scheduler, core::Cli
     }
     template_ops_ = std::move(with_swaps);
   }
-  for (runtime::Op& op : template_ops_) {
-    op.client_id = static_cast<std::uint64_t>(id_);
-  }
 }
 
 std::string ClientDriver::name() const {
@@ -131,7 +128,6 @@ void ClientDriver::Hang(DurationUs runaway_us) {
   op.kernel.geometry = gpusim::LaunchGeometry{};
   op.kernel.compute_util = 0.5;
   op.kernel.membw_util = 0.5;
-  op.client_id = static_cast<std::uint64_t>(id_);
   op.request_id = ++next_request_id_;
   op.end_of_request = true;
   core::SchedOp sched_op;

@@ -43,8 +43,7 @@ const char* SchedulerKindName(SchedulerKind kind) {
 }
 
 std::unique_ptr<core::Scheduler> MakeScheduler(SchedulerKind kind,
-                                               const core::OrionOptions& orion_options,
-                                               const baselines::TimeQuantumOptions& tq_options) {
+                                               const core::OrionOptions& orion_options) {
   switch (kind) {
     case SchedulerKind::kDedicated:
       // Per-device pass-through; RunExperiment instantiates one per client.
@@ -65,7 +64,7 @@ std::unique_ptr<core::Scheduler> MakeScheduler(SchedulerKind kind,
     case SchedulerKind::kOrion:
       return std::make_unique<core::OrionScheduler>(orion_options);
     case SchedulerKind::kTimeQuantum:
-      return std::make_unique<baselines::TimeQuantumScheduler>(tq_options);
+      return std::make_unique<baselines::TimeQuantumScheduler>();
   }
   ORION_CHECK_MSG(false, "unhandled scheduler kind");
   return nullptr;
@@ -215,7 +214,7 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
       if (config.telemetry != nullptr && config.telemetry->tracing()) {
         config.telemetry->kernels().RecordInto(rt->device(), "gpu" + std::to_string(i));
       }
-      auto sched = MakeScheduler(config.scheduler, config.orion, config.time_quantum);
+      auto sched = MakeScheduler(config.scheduler, config.orion);
       sched->set_telemetry(config.telemetry);
       core::SchedClientInfo info;
       info.id = i;
@@ -236,7 +235,7 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
     if (config.telemetry != nullptr && config.telemetry->tracing()) {
       config.telemetry->kernels().RecordInto(rt->device(), "gpu0");
     }
-    auto sched = MakeScheduler(config.scheduler, config.orion, config.time_quantum);
+    auto sched = MakeScheduler(config.scheduler, config.orion);
     sched->set_telemetry(config.telemetry);
     std::vector<core::SchedClientInfo> infos;
     for (int i = 0; i < num_clients; ++i) {
@@ -320,8 +319,9 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
           // Dead process: its pages free immediately (host copy wins).
           pager->ReleaseClient(static_cast<int>(event.client));
         }
-        return;
+        return true;
       }
+      return false;  // the plan names a client this run does not have
     });
     injector->Arm();
   }
@@ -389,7 +389,6 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
     result.faults_injected = injector->injected();
     result.faults_skipped = injector->skipped();
   }
-  result.memory_used_end_bytes = runtimes[util_index]->memory().used();
   for (auto& sched : schedulers) {
     if (const auto* orion = dynamic_cast<const core::OrionScheduler*>(sched.get())) {
       result.clients_quarantined += orion->clients_quarantined();

@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "src/baselines/time_quantum.h"
 #include "src/core/orion_scheduler.h"
 #include "src/core/scheduler.h"
 #include "src/fault/fault_plan.h"
@@ -21,6 +20,7 @@
 #include "src/harness/client_driver.h"
 #include "src/memsub/pager.h"
 #include "src/profiler/profiler.h"
+#include "src/runtime/op.h"
 #include "src/telemetry/exporters.h"
 #include "src/telemetry/telemetry.h"
 
@@ -43,15 +43,13 @@ enum class SchedulerKind {
 
 const char* SchedulerKindName(SchedulerKind kind);
 
-std::unique_ptr<core::Scheduler> MakeScheduler(
-    SchedulerKind kind, const core::OrionOptions& orion_options,
-    const baselines::TimeQuantumOptions& tq_options = {});
+std::unique_ptr<core::Scheduler> MakeScheduler(SchedulerKind kind,
+                                               const core::OrionOptions& orion_options);
 
 struct ExperimentConfig {
   gpusim::DeviceSpec device = gpusim::DeviceSpec::V100_16GB();
   SchedulerKind scheduler = SchedulerKind::kOrion;
   core::OrionOptions orion;
-  baselines::TimeQuantumOptions time_quantum;
   std::vector<ClientConfig> clients;
 
   // Unified-memory paging (src/memsub). When enabled on a shared-GPU run,
@@ -70,7 +68,7 @@ struct ExperimentConfig {
 
   DurationUs warmup_us = SecToUs(1.0);
   DurationUs duration_us = SecToUs(20.0);  // measurement window after warmup
-  DurationUs launch_overhead_us = 6.0;     // host cost per intercepted op
+  DurationUs launch_overhead_us = runtime::kLaunchOverheadUs;  // host cost per op
   std::uint64_t seed = 42;
   // §5.1.3 extension: schedule pending PCIe copies by stream priority.
   bool pcie_priority_scheduling = false;
@@ -120,7 +118,10 @@ struct ExperimentResult {
   std::size_t faults_skipped = 0;         // plan events whose target was absent
   std::size_t clients_quarantined = 0;    // crash + runaway quarantines (Orion)
   std::size_t runaway_quarantines = 0;    // watchdog-detected hangs (Orion)
-  std::size_t memory_used_end_bytes = 0;  // live device memory at the horizon
+  // Live device memory at the horizon: always 0, since no op allocates
+  // device memory (RunExperiment admits model state up front, §5.1.3).
+  // Kept because the e2ebench run digest includes it.
+  static constexpr std::size_t memory_used_end_bytes = 0;
 
   // Unified-memory paging accounting (all zero when config.paging.enabled
   // was false or the run was Dedicated/MIG).

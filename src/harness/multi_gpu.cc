@@ -23,7 +23,7 @@ class DdpRun {
   DdpRun(Simulator* sim, const workloads::DdpIterationPlan& plan,
          std::vector<gpusim::Device*> devices, std::vector<gpusim::StreamId> compute_streams,
          collective::CollectiveEngine* engine, std::vector<int> ring, int iterations,
-         DurationUs launch_overhead_us, bool* finished)
+         bool* finished)
       : sim_(sim),
         plan_(plan),
         devices_(std::move(devices)),
@@ -31,7 +31,6 @@ class DdpRun {
         engine_(engine),
         ring_(std::move(ring)),
         iterations_(iterations),
-        launch_overhead_us_(launch_overhead_us),
         finished_(finished) {
     ORION_CHECK(devices_.size() == ring_.size());
     ORION_CHECK(iterations_ >= 1);
@@ -72,7 +71,8 @@ class DdpRun {
   }
 
   // Paced submission: the host thread launches asynchronously, one kernel
-  // per launch_overhead_us, running ahead of the device (streams queue).
+  // per runtime::kLaunchOverheadUs, running ahead of the device (streams
+  // queue).
   void PumpCompute(std::size_t slot) {
     GpuState& state = gpus_[slot];
     if (state.next_compute >= plan_.compute_kernels.size()) {
@@ -82,7 +82,7 @@ class DdpRun {
     devices_[slot]->LaunchKernel(compute_streams_[slot], kernel,
                                  [this, slot]() { OnComputeDone(slot); });
     if (state.next_compute < plan_.compute_kernels.size()) {
-      sim_->ScheduleAfter(launch_overhead_us_, [this, slot]() { PumpCompute(slot); });
+      sim_->ScheduleAfter(runtime::kLaunchOverheadUs, [this, slot]() { PumpCompute(slot); });
     }
   }
 
@@ -147,7 +147,7 @@ class DdpRun {
     devices_[slot]->LaunchKernel(compute_streams_[slot], kernel,
                                  [this, slot]() { OnUpdateDone(slot); });
     if (index + 1 < plan_.update_kernels.size()) {
-      sim_->ScheduleAfter(launch_overhead_us_,
+      sim_->ScheduleAfter(runtime::kLaunchOverheadUs,
                           [this, slot, index]() { PumpUpdate(slot, index + 1); });
     }
   }
@@ -182,7 +182,6 @@ class DdpRun {
   collective::CollectiveEngine* engine_;
   std::vector<int> ring_;
   int iterations_;
-  DurationUs launch_overhead_us_;
   bool* finished_;
 
   std::vector<GpuState> gpus_;
@@ -276,7 +275,7 @@ MultiGpuResult RunDdpExperiment(const MultiGpuConfig& config) {
 
   bool finished = false;
   DdpRun run(&sim, plan, std::move(devices), std::move(compute_streams), &engine, ring,
-             config.iterations, config.launch_overhead_us, &finished);
+             config.iterations, &finished);
 
   std::unique_ptr<HogDriver> hog;
   if (config.hog.has_value()) {

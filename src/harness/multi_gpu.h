@@ -41,7 +41,6 @@ struct MultiGpuConfig {
   // topology.PreferredRing (NVLink-adjacent pairs first).
   workloads::DdpConfig ddp;
   int iterations = 10;
-  DurationUs launch_overhead_us = 6.0;  // host cost per kernel launch
   std::optional<BandwidthHogConfig> hog;
   // Collective fault-detection policy (step timeouts, ring re-formation).
   // Defaults keep detection off — required for fault plans with link/GPU

@@ -21,10 +21,11 @@ double BeThroughputOf(const ExperimentResult& result) {
 
 }  // namespace
 
-SmTunerResult TuneSmThreshold(ExperimentConfig config, const SmTunerOptions& options) {
+SmTunerResult TuneSmThreshold(ExperimentConfig config) {
   ORION_CHECK_MSG(config.scheduler == SchedulerKind::kOrion,
                   "SM_THRESHOLD tuning applies to the Orion scheduler");
-  config.duration_us = options.probe_duration_us;
+  constexpr DurationUs kProbeDurationUs = SecToUs(5.0);
+  config.duration_us = kProbeDurationUs;
 
   SmTunerResult result;
 

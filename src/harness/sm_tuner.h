@@ -34,15 +34,11 @@ struct SmTunerResult {
 // train-train, §6.2.2).
 constexpr double kMaxHpDegradation = 0.16;
 
-struct SmTunerOptions {
-  // Probe run length (shorter than full experiments; tuning is iterative).
-  DurationUs probe_duration_us = SecToUs(5.0);
-};
-
-// Tunes SM_THRESHOLD for `config` (must use SchedulerKind::kOrion). Returns
-// the search trace and the chosen threshold; callers apply it via
-// config.orion.sm_threshold.
-SmTunerResult TuneSmThreshold(ExperimentConfig config, const SmTunerOptions& options = {});
+// Tunes SM_THRESHOLD for `config` (must use SchedulerKind::kOrion). Every
+// probe runs the collocation for 5 s of simulated time (shorter than full
+// experiments; tuning is iterative). Returns the search trace and the chosen
+// threshold; callers apply it via config.orion.sm_threshold.
+SmTunerResult TuneSmThreshold(ExperimentConfig config);
 
 }  // namespace harness
 }  // namespace orion

@@ -25,6 +25,7 @@
 #include "src/common/time_types.h"
 #include "src/gpusim/device_spec.h"
 #include "src/gpusim/kernel.h"
+#include "src/runtime/op.h"
 #include "src/workloads/models.h"
 
 namespace orion {
@@ -62,7 +63,7 @@ struct ProfileOptions {
   int warmup_requests = 2;
   int measured_requests = 10;
   // Host-side per-op submission overhead (framework + wrapper cost).
-  DurationUs launch_overhead_us = 6.0;
+  DurationUs launch_overhead_us = runtime::kLaunchOverheadUs;
 };
 
 // Runs the offline profiling phase on a dedicated simulated device.

@@ -8,7 +8,7 @@ namespace orion {
 namespace runtime {
 
 GpuRuntime::GpuRuntime(Simulator* sim, gpusim::DeviceSpec spec)
-    : device_(sim, spec), memory_(spec.memory_bytes) {
+    : device_(sim, spec) {
   ORION_CHECK(sim != nullptr);
 }
 
@@ -39,21 +39,6 @@ void GpuRuntime::Submit(const Op& op, gpusim::StreamId stream, CompletionCb done
       device_.EnqueueMemcpy(stream, op.bytes, gpusim::MemcpyKind::kDeviceToHost,
                             std::move(done));
       return;
-    case OpType::kMalloc: {
-      // cudaMalloc synchronises the device (§5.1.3), then reserves memory,
-      // attributed to the issuing client so a crash can reclaim it.
-      const std::size_t bytes = op.bytes;
-      const std::uint64_t client = op.client_id;
-      device_.SynchronizeDevice([this, bytes, client, done = std::move(done)]() mutable {
-        ORION_CHECK_MSG(memory_.Allocate(bytes, client),
-                        "device OOM: requested " << bytes << "B with " << memory_.available()
-                                                 << "B available");
-        if (done) {
-          done();
-        }
-      });
-      return;
-    }
   }
   ORION_CHECK_MSG(false, "unhandled op type");
 }

@@ -5,8 +5,10 @@
 // device streams, preserving the semantics described in §5.1.3:
 //   * kernel launches and async memcpys are asynchronous,
 //   * blocking memcpys hold the issuing client until completion
-//     (enforced by the client driver via the completion callback),
-//   * cudaMalloc synchronises the whole device.
+//     (enforced by the client driver via the completion callback).
+// No program issues cudaMalloc: model state is admitted up front by the
+// harness (§5.1.3 memory admission), so device-synchronising allocation
+// and per-client memory accounting are not modelled.
 #ifndef SRC_RUNTIME_GPU_RUNTIME_H_
 #define SRC_RUNTIME_GPU_RUNTIME_H_
 
@@ -14,7 +16,6 @@
 #include <memory>
 
 #include "src/gpusim/device.h"
-#include "src/runtime/memory_manager.h"
 #include "src/runtime/op.h"
 #include "src/sim/simulator.h"
 
@@ -28,13 +29,11 @@ class GpuRuntime {
   GpuRuntime(Simulator* sim, gpusim::DeviceSpec spec);
 
   gpusim::Device& device() { return device_; }
-  MemoryManager& memory() { return memory_; }
 
   gpusim::StreamId CreateStream(int priority = gpusim::kPriorityDefault);
 
   // Submits an Op on the given stream. `done` fires when the op completes on
-  // the device. Malloc synchronises the device first, then applies the
-  // memory accounting, then fires `done`.
+  // the device.
   void Submit(const Op& op, gpusim::StreamId stream, CompletionCb done = nullptr);
 
   // Direct kernel-level API used by the toy experiments and examples.
@@ -45,7 +44,6 @@ class GpuRuntime {
 
  private:
   gpusim::Device device_;
-  MemoryManager memory_;
 };
 
 }  // namespace runtime

@@ -1,9 +1,9 @@
 // GPU operations as seen by the interception layer.
 //
-// Orion intercepts CUDA runtime calls (kernel launches and memory-management
-// operations, §5) and buffers them in per-client software queues. An Op is
-// one such intercepted call, tagged with the bookkeeping the scheduler and
-// the harness need (owning client, owning request, end-of-request marker).
+// Orion intercepts CUDA runtime calls (kernel launches and memory copies,
+// §5) and buffers them in per-client software queues. An Op is one such
+// intercepted call, tagged with the bookkeeping the scheduler and the
+// harness need (owning request, end-of-request marker).
 #ifndef SRC_RUNTIME_OP_H_
 #define SRC_RUNTIME_OP_H_
 
@@ -16,11 +16,15 @@
 namespace orion {
 namespace runtime {
 
+// Host cost of submitting one op (framework plus interception wrapper): the
+// pace at which a client's host thread issues kernels, and the per-kernel
+// host term of every serving cost model.
+constexpr DurationUs kLaunchOverheadUs = 6.0;
+
 enum class OpType : std::uint8_t {
   kKernelLaunch,   // cudaLaunchKernel / CUBLAS / CUDNN entry points
   kMemcpyH2D,      // cudaMemcpy(Async) host -> device
   kMemcpyD2H,      // cudaMemcpy(Async) device -> host
-  kMalloc,         // cudaMalloc  (device-synchronising, §5.1.3)
   // §7 extension: cudaGraphLaunch — a whole captured kernel graph submitted
   // with ONE host call. Cuts per-kernel launch overhead, but the intercepting
   // scheduler can only gate the graph as a unit: kernel-granularity policy
@@ -38,14 +42,13 @@ struct Op {
   // target stream).
   std::vector<gpusim::KernelDesc> graph_kernels;
 
-  // Memory ops.
+  // Memcpy ops.
   std::size_t bytes = 0;
   // Blocking (cudaMemcpy) vs asynchronous (cudaMemcpyAsync); the client
   // driver stalls on blocking ops, matching §5.1.3.
   bool blocking = false;
 
   // Bookkeeping stamped by the interception layer.
-  std::uint64_t client_id = 0;
   std::uint64_t request_id = 0;
   std::uint32_t index_in_request = 0;
   bool end_of_request = false;

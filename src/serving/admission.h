@@ -10,7 +10,7 @@
 //
 // Priority tiers map to Orion's streams: latency-critical services are shed
 // exactly at the predicted deadline miss, best-effort services more eagerly
-// (configurable slack < 1) so latency-critical traffic keeps its headroom
+// (at 0.7 of their SLO) so latency-critical traffic keeps its headroom
 // during overload — the serving-tier analogue of the scheduler prioritising
 // the hp stream.
 #ifndef SRC_SERVING_ADMISSION_H_
@@ -24,9 +24,6 @@ namespace serving {
 
 struct AdmissionConfig {
   bool enabled = true;
-  // Best-effort services are shed when predicted completion > arrival +
-  // be_slack * slo, so values below 1.0 shed them before their deadline miss.
-  double be_slack = 0.7;
 };
 
 class AdmissionController {

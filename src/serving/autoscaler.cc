@@ -30,8 +30,9 @@ const char* ScaleReasonName(ScaleReason reason) {
 
 ScaleDecision DecideWithReason(const AutoscalerConfig& config,
                                const ModelWindowSignals& signals, ScaleReason* reason) {
-  ORION_CHECK(signals.min_replicas >= 0);
-  ORION_CHECK(signals.max_replicas >= signals.min_replicas);
+  // A service never scales below one replica.
+  constexpr int kMinReplicas = 1;
+  ORION_CHECK(signals.max_replicas >= kMinReplicas);
   *reason = ScaleReason::kNone;
   if (!config.enabled) {
     return ScaleDecision::kHold;
@@ -56,7 +57,7 @@ ScaleDecision DecideWithReason(const AutoscalerConfig& config,
 
   const bool healthy = signals.shed == 0 && attainment >= kTargetAttainment &&
                        signals.utilization < kScaleDownUtilization;
-  if (healthy && signals.pending_replicas == 0 && signals.active_replicas > signals.min_replicas) {
+  if (healthy && signals.pending_replicas == 0 && signals.active_replicas > kMinReplicas) {
     *reason = ScaleReason::kIdleHealthy;
     return ScaleDecision::kDown;
   }

@@ -37,7 +37,6 @@ struct ModelWindowSignals {
   int active_replicas = 0;
   int pending_replicas = 0;  // still provisioning (count against max, and
                              // block further scale-ups until they land)
-  int min_replicas = 1;
   int max_replicas = 1;
 };
 

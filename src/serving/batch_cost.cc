@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/common/check.h"
+#include "src/runtime/op.h"
 
 namespace orion {
 namespace serving {
@@ -15,11 +16,9 @@ constexpr DurationUs kReplicaStartFixedUs = 50e3;  // 50 ms
 }  // namespace
 
 BatchCostModel::BatchCostModel(const gpusim::DeviceSpec& device,
-                               const workloads::WorkloadSpec& workload, bool high_priority,
-                               DurationUs launch_overhead_us)
+                               const workloads::WorkloadSpec& workload, bool high_priority)
     : device_(device),
       workload_(workload),
-      launch_overhead_us_(launch_overhead_us),
       signature_(cluster::MakeSignature(device, workload, high_priority)) {
   ORION_CHECK_MSG(workload.task == workloads::TaskType::kInference,
                   "serving replicas run inference workloads");
@@ -39,7 +38,7 @@ DurationUs BatchCostModel::BatchServiceUs(int batch) const {
   for (const auto& kernel : kernels) {
     total += kernel.duration_us;
   }
-  total += launch_overhead_us_ * static_cast<double>(kernels.size());
+  total += runtime::kLaunchOverheadUs * static_cast<double>(kernels.size());
   if (index >= cache_.size()) {
     cache_.resize(index + 1, 0.0);
   }

@@ -28,9 +28,10 @@ namespace serving {
 class BatchCostModel {
  public:
   // `workload` describes one request (its batch_size is the per-request
-  // batch); `launch_overhead_us` is the host cost per submitted kernel.
+  // batch); every submitted kernel adds runtime::kLaunchOverheadUs of host
+  // cost.
   BatchCostModel(const gpusim::DeviceSpec& device, const workloads::WorkloadSpec& workload,
-                 bool high_priority, DurationUs launch_overhead_us);
+                 bool high_priority);
 
   // Device-busy time to serve a batch of `batch` requests. Cached per batch
   // size; deterministic.
@@ -61,7 +62,6 @@ class BatchCostModel {
  private:
   gpusim::DeviceSpec device_;
   workloads::WorkloadSpec workload_;
-  DurationUs launch_overhead_us_;
   cluster::JobSignature signature_;
   mutable std::vector<DurationUs> cache_;  // index = batch size, 0 unused
 };

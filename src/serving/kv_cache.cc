@@ -6,14 +6,13 @@ namespace orion {
 namespace serving {
 
 KvCacheAllocator::KvCacheAllocator(const KvCacheConfig& config) : config_(config) {
-  ORION_CHECK(config.block_tokens >= 1);
   ORION_CHECK(config.bytes_per_token > 0);
   total_blocks_ = config.capacity_bytes / block_bytes();
 }
 
 int KvCacheAllocator::BlocksForTokens(int tokens) const {
   ORION_CHECK(tokens >= 0);
-  return (tokens + config_.block_tokens - 1) / config_.block_tokens;
+  return (tokens + kKvBlockTokens - 1) / kKvBlockTokens;
 }
 
 bool KvCacheAllocator::TryReserve(std::uint64_t seq, int tokens) {

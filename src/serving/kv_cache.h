@@ -1,14 +1,14 @@
 // Block-granularity KV-cache accounting for LLM serving (DESIGN.md §13).
 //
 // vLLM-style paged allocation against a fixed device-memory budget: each
-// live sequence holds ceil(tokens / block_tokens) blocks, grown one token at
+// live sequence holds ceil(tokens / kKvBlockTokens) blocks, grown one token at
 // a time as decode steps produce tokens and released in full when the
 // sequence finishes, is evicted under pressure, or dies with its replica.
 // Reservations are all-or-nothing — a failed TryReserve leaves no partial
 // state, which is what makes eviction decisions at the engine level clean.
 //
 // The allocator ORION_CHECKs its byte identity after every mutation:
-//   used_blocks == Σ_{live sequences} ceil(tokens / block_tokens)
+//   used_blocks == Σ_{live sequences} ceil(tokens / kKvBlockTokens)
 //   used_bytes  <= capacity_bytes
 // This is the LLM analogue of the serving engine's request accounting
 // identity, and the property the seeded churn test (kv_cache_property_test)
@@ -23,8 +23,11 @@
 namespace orion {
 namespace serving {
 
+// KV-cache allocation granularity in tokens: the LLM cost model's context
+// buckets and every replica's KvCacheAllocator blocks share it.
+constexpr int kKvBlockTokens = 16;
+
 struct KvCacheConfig {
-  int block_tokens = 16;             // tokens per allocation block
   std::size_t bytes_per_token = 0;   // workloads::LlmKvBytesPerToken
   std::size_t capacity_bytes = 0;    // device-memory budget for this cache
 };
@@ -52,7 +55,7 @@ class KvCacheAllocator {
   std::size_t used_bytes() const { return used_blocks_ * block_bytes(); }
   std::size_t capacity_bytes() const { return config_.capacity_bytes; }
   std::size_t block_bytes() const {
-    return static_cast<std::size_t>(config_.block_tokens) * config_.bytes_per_token;
+    return static_cast<std::size_t>(kKvBlockTokens) * config_.bytes_per_token;
   }
   std::size_t live_sequences() const { return seqs_.size(); }
   std::size_t live_tokens() const { return live_tokens_; }

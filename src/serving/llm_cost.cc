@@ -3,15 +3,15 @@
 #include <algorithm>
 
 #include "src/common/check.h"
+#include "src/runtime/op.h"
+#include "src/serving/kv_cache.h"
 
 namespace orion {
 namespace serving {
 
-LlmCostModel::LlmCostModel(const gpusim::DeviceSpec& device, const LlmServiceConfig& service,
-                           DurationUs launch_overhead_us)
+LlmCostModel::LlmCostModel(const gpusim::DeviceSpec& device, const LlmServiceConfig& service)
     : device_(device),
       service_(service),
-      launch_overhead_us_(launch_overhead_us),
       kv_bytes_per_token_(workloads::LlmKvBytesPerToken(service.model)) {
   ORION_CHECK(service.prompt_tokens >= 1);
   ORION_CHECK(service.min_decode_tokens >= 0);
@@ -24,7 +24,7 @@ DurationUs LlmCostModel::KernelsUs(const std::vector<gpusim::KernelDesc>& kernel
   for (const gpusim::KernelDesc& kernel : kernels) {
     total += kernel.duration_us;
   }
-  return total + launch_overhead_us_ * static_cast<double>(kernels.size());
+  return total + runtime::kLaunchOverheadUs * static_cast<double>(kernels.size());
 }
 
 int LlmCostModel::ContextBucket(int context_tokens) const {

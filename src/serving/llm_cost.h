@@ -27,10 +27,6 @@
 namespace orion {
 namespace serving {
 
-// KV-cache allocation granularity in tokens: the cost model's context buckets
-// and every replica's KvCacheAllocator blocks share it.
-constexpr int kKvBlockTokens = 16;
-
 // Per-service LLM parameters; ModelServiceConfig::llm. With enabled unset
 // the service keeps the classic fixed-cost request semantics.
 struct LlmServiceConfig {
@@ -70,8 +66,7 @@ struct LlmBatchBreakdown {
 // cache length (longer contexts stream more KV bytes per step).
 class LlmCostModel {
  public:
-  LlmCostModel(const gpusim::DeviceSpec& device, const LlmServiceConfig& service,
-               DurationUs launch_overhead_us);
+  LlmCostModel(const gpusim::DeviceSpec& device, const LlmServiceConfig& service);
 
   // One sequence's prefill pass over `context_tokens` prompt (+ recomputed)
   // tokens, producing its first token.
@@ -98,7 +93,6 @@ class LlmCostModel {
 
   gpusim::DeviceSpec device_;
   LlmServiceConfig service_;
-  DurationUs launch_overhead_us_;
   std::size_t kv_bytes_per_token_;
   mutable std::map<int, DurationUs> prefill_cache_;            // by context bucket
   mutable std::map<std::uint64_t, DurationUs> step_cache_;     // by (batch, bucket)

@@ -71,15 +71,13 @@ struct ModelServiceConfig {
   // service's `rps` above is used as the long-run mean rate.
   trace::DiurnalConfig diurnal;
   int initial_replicas = 1;
-  int min_replicas = 1;
-  int max_replicas = 4;
+  int max_replicas = 4;  // the autoscaler never goes below one replica
 };
 
 struct ServingConfig {
   gpusim::DeviceSpec device = gpusim::DeviceSpec::V100_16GB();
   int num_gpus = 4;
   int max_replicas_per_gpu = 2;
-  DurationUs launch_overhead_us = 6.0;  // host cost per submitted kernel
 
   std::vector<ModelServiceConfig> models;
   RoutePolicy policy = RoutePolicy::kLeastOutstanding;

@@ -71,8 +71,6 @@ TEST(OpViewTest, IsComputeOp) {
   EXPECT_TRUE(core::IsComputeOp(op));
   op.type = runtime::OpType::kMemcpyH2D;
   EXPECT_FALSE(core::IsComputeOp(op));
-  op.type = runtime::OpType::kMalloc;
-  EXPECT_FALSE(core::IsComputeOp(op));
 }
 
 TEST(GraphCaptureTest, DriverGroupsKernelsIntoGraphs) {

@@ -247,28 +247,6 @@ TEST_F(DeviceTest, KernelsOverlapWithCopiesOnOtherStreams) {
   EXPECT_NEAR(kernel_done, 100.0, 1e-6);  // not delayed by the copy
 }
 
-TEST_F(DeviceTest, SynchronizeDeviceWaitsForAllStreams) {
-  Device device(&sim_, spec_);
-  const StreamId s1 = device.CreateStream();
-  const StreamId s2 = device.CreateStream();
-  device.LaunchKernel(s1, MakeKernel("a", 100.0, 0.3, 0.1, 10));
-  device.LaunchKernel(s2, MakeKernel("b", 300.0, 0.3, 0.1, 10));
-  TimeUs synced = -1.0;
-  device.SynchronizeDevice([&]() { synced = sim_.now(); });
-  sim_.RunUntilIdle();
-  // ~300us plus the brief interference while kernel `a` was co-resident.
-  EXPECT_NEAR(synced, 300.0, 6.0);
-}
-
-TEST_F(DeviceTest, SynchronizeIdleDeviceFiresImmediately) {
-  Device device(&sim_, spec_);
-  device.CreateStream();
-  TimeUs synced = -1.0;
-  device.SynchronizeDevice([&]() { synced = sim_.now(); });
-  sim_.RunUntilIdle();
-  EXPECT_DOUBLE_EQ(synced, 0.0);
-}
-
 TEST_F(DeviceTest, UtilizationAveragesReflectLoad) {
   Device device(&sim_, spec_);
   const StreamId stream = device.CreateStream();
@@ -276,8 +254,6 @@ TEST_F(DeviceTest, UtilizationAveragesReflectLoad) {
   device.LaunchKernel(stream, MakeKernel("k", 100.0, 0.8, 0.4, 40));
   sim_.RunUntilIdle();
   sim_.ScheduleAt(200.0, []() {});  // extend the timeline with idle time
-  sim_.RunUntilIdle();
-  device.SynchronizeDevice([]() {});
   sim_.RunUntilIdle();
   const UtilizationSample avg = device.utilization().AverageOver(0.0, 100.0);
   EXPECT_NEAR(avg.compute, 0.8, 1e-6);

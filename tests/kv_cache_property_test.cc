@@ -2,7 +2,7 @@
 // sequence creates, one-token grows, block-boundary jumps, frees, and
 // capacity-probing over-asks — against a model map, verifying after EVERY
 // mutation that the allocator's observable state matches the model:
-//   used_blocks == Σ_{live} ceil(tokens / block_tokens)
+//   used_blocks == Σ_{live} ceil(tokens / kKvBlockTokens)
 //   live_tokens == Σ_{live} tokens
 //   used_bytes  <= capacity_bytes
 // The allocator ORION_CHECKs the same identity internally after every
@@ -25,19 +25,17 @@ namespace {
 
 constexpr std::size_t kKb = 1 << 10;
 
-KvCacheConfig SmallConfig(int block_tokens = 16, std::size_t bytes_per_token = kKb,
-                          std::size_t blocks = 64) {
+KvCacheConfig SmallConfig(std::size_t bytes_per_token = kKb, std::size_t blocks = 64) {
   KvCacheConfig config;
-  config.block_tokens = block_tokens;
   config.bytes_per_token = bytes_per_token;
-  config.capacity_bytes = blocks * static_cast<std::size_t>(block_tokens) * bytes_per_token;
+  config.capacity_bytes = blocks * static_cast<std::size_t>(kKvBlockTokens) * bytes_per_token;
   return config;
 }
 
-int ModelBlocks(const std::map<std::uint64_t, int>& model, int block_tokens) {
+int ModelBlocks(const std::map<std::uint64_t, int>& model) {
   int blocks = 0;
   for (const auto& [seq, tokens] : model) {
-    blocks += (tokens + block_tokens - 1) / block_tokens;
+    blocks += (tokens + kKvBlockTokens - 1) / kKvBlockTokens;
   }
   return blocks;
 }
@@ -57,7 +55,7 @@ std::vector<bool> RunChurn(std::uint64_t seed, const KvCacheConfig& config, int 
       // Create: a fresh sequence reserving a random prompt length; once the
       // cache fills these start rejecting (and must do so cleanly).
       const int tokens = static_cast<int>(
-          rng.UniformInt(1, 3 * config.block_tokens * 4));
+          rng.UniformInt(1, 3 * kKvBlockTokens * 4));
       const std::uint64_t seq = next_seq++;
       const bool ok = kv.TryReserve(seq, tokens);
       decisions.push_back(ok);
@@ -93,7 +91,7 @@ std::vector<bool> RunChurn(std::uint64_t seed, const KvCacheConfig& config, int 
       model.erase(it);
     } else {
       // Capacity probe: ask for exactly one token more than fits.
-      const int over = static_cast<int>(kv.free_blocks()) * config.block_tokens + 1;
+      const int over = static_cast<int>(kv.free_blocks()) * kKvBlockTokens + 1;
       const bool ok = kv.TryReserve(next_seq++, over);
       decisions.push_back(ok);
       EXPECT_FALSE(ok) << "an over-capacity ask must reject";
@@ -102,8 +100,7 @@ std::vector<bool> RunChurn(std::uint64_t seed, const KvCacheConfig& config, int 
     // The identity, checked externally after every mutation (EXPECT, not
     // ASSERT: gtest fatal assertions need a void-returning function).
     EXPECT_EQ(kv.live_sequences(), model.size());
-    EXPECT_EQ(static_cast<int>(kv.used_blocks()),
-              ModelBlocks(model, config.block_tokens));
+    EXPECT_EQ(static_cast<int>(kv.used_blocks()), ModelBlocks(model));
     std::size_t tokens = 0;
     for (const auto& [seq, t] : model) {
       EXPECT_TRUE(kv.Holds(seq));
@@ -131,16 +128,15 @@ TEST(KvCachePropertyTest, ChurnIsDeterministic) {
 }
 
 TEST(KvCachePropertyTest, TinyBlocksAndOddBlockSizes) {
-  // Block size 1 (every token its own block) and a prime block size both
-  // have to keep the ceil() identity exact.
-  for (const int block_tokens : {1, 7}) {
-    RunChurn(7, SmallConfig(block_tokens, /*bytes_per_token=*/256, /*blocks=*/97),
-             /*ops=*/300);
+  // Tiny blocks (one byte per token) and odd cache sizes (a single block, a
+  // prime block count) both have to keep the ceil() identity exact.
+  for (const std::size_t blocks : {1, 7, 97}) {
+    RunChurn(7, SmallConfig(/*bytes_per_token=*/1, blocks), /*ops=*/300);
   }
 }
 
 TEST(KvCacheTest, ReserveGrowsInBlocks) {
-  KvCacheAllocator kv(SmallConfig(/*block_tokens=*/16));
+  KvCacheAllocator kv(SmallConfig());
   EXPECT_TRUE(kv.TryReserve(1, 1));
   EXPECT_EQ(kv.used_blocks(), 1u);  // 1 token -> 1 block
   EXPECT_TRUE(kv.TryReserve(1, 16));
@@ -151,7 +147,7 @@ TEST(KvCacheTest, ReserveGrowsInBlocks) {
 }
 
 TEST(KvCacheTest, AllOrNothingRejection) {
-  KvCacheAllocator kv(SmallConfig(/*block_tokens=*/16, kKb, /*blocks=*/4));
+  KvCacheAllocator kv(SmallConfig(kKb, /*blocks=*/4));
   EXPECT_TRUE(kv.TryReserve(1, 48));  // 3 of 4 blocks
   EXPECT_FALSE(kv.TryReserve(2, 32)); // needs 2, only 1 free
   EXPECT_FALSE(kv.Holds(2));
@@ -174,7 +170,7 @@ TEST(KvCacheTest, FreeReleasesEverything) {
 }
 
 TEST(KvCacheTest, BlocksForTokensMatchesCeil) {
-  KvCacheAllocator kv(SmallConfig(/*block_tokens=*/16));
+  KvCacheAllocator kv(SmallConfig());
   EXPECT_EQ(kv.BlocksForTokens(0), 0);
   EXPECT_EQ(kv.BlocksForTokens(1), 1);
   EXPECT_EQ(kv.BlocksForTokens(16), 1);

@@ -99,7 +99,7 @@ TEST(LlmBatcherTest, ContinuousDispatchReasonHasAName) {
 // --- Per-phase LLM cost model. ---
 
 TEST(LlmCostTest, PrefillGrowsWithContext) {
-  const LlmCostModel cost(kV100, SmallLlm(), 6.0);
+  const LlmCostModel cost(kV100, SmallLlm());
   const DurationUs short_prefill = cost.PrefillUs(64);
   const DurationUs long_prefill = cost.PrefillUs(512);
   EXPECT_GT(short_prefill, 0.0);
@@ -109,7 +109,7 @@ TEST(LlmCostTest, PrefillGrowsWithContext) {
 TEST(LlmCostTest, DecodeStepIsSubLinearInBatch) {
   // Decode streams the weights once per step whatever the batch width, so
   // batching amortizes: 8 sequences cost far less than 8x one sequence.
-  const LlmCostModel cost(kV100, SmallLlm(), 6.0);
+  const LlmCostModel cost(kV100, SmallLlm());
   const DurationUs one = cost.DecodeStepUs(1, 128);
   const DurationUs eight = cost.DecodeStepUs(8, 128);
   EXPECT_GT(eight, one);
@@ -117,19 +117,19 @@ TEST(LlmCostTest, DecodeStepIsSubLinearInBatch) {
 }
 
 TEST(LlmCostTest, DecodeStepGrowsWithContext) {
-  const LlmCostModel cost(kV100, SmallLlm(), 6.0);
+  const LlmCostModel cost(kV100, SmallLlm());
   EXPECT_GT(cost.DecodeStepUs(4, 2048), cost.DecodeStepUs(4, 64));
 }
 
 TEST(LlmCostTest, ContextBucketingCachesStepCosts) {
-  const LlmCostModel cost(kV100, SmallLlm(), 6.0);
+  const LlmCostModel cost(kV100, SmallLlm());
   // Contexts within one KV block quantize to the same bucket => same cost.
   EXPECT_DOUBLE_EQ(cost.DecodeStepUs(2, 65), cost.DecodeStepUs(2, 80));
   EXPECT_NE(cost.DecodeStepUs(2, 80), cost.DecodeStepUs(2, 81));
 }
 
 TEST(LlmCostTest, RequestLevelBatchRunsToLongestTarget) {
-  const LlmCostModel cost(kV100, SmallLlm(), 6.0);
+  const LlmCostModel cost(kV100, SmallLlm());
   Request a;
   a.prompt_tokens = 64;
   a.target_tokens = 0;
@@ -147,7 +147,7 @@ TEST(LlmCostTest, RequestLevelBatchRunsToLongestTarget) {
 
 TEST(LlmCostTest, KvBytesPerTokenMatchesWorkload) {
   const LlmServiceConfig llm = SmallLlm();
-  const LlmCostModel cost(kV100, llm, 6.0);
+  const LlmCostModel cost(kV100, llm);
   EXPECT_EQ(cost.kv_bytes_per_token(), workloads::LlmKvBytesPerToken(llm.model));
   // K and V, fp32, per layer: 2 * layers * hidden * 4 bytes.
   EXPECT_EQ(cost.kv_bytes_per_token(), 2u * 4u * 1024u * 4u);

@@ -1,5 +1,4 @@
-// Runtime facade tests: op submission semantics, memory accounting, and the
-// device-synchronising behaviour of malloc.
+// Runtime facade tests: op submission semantics.
 #include <gtest/gtest.h>
 
 #include "src/runtime/gpu_runtime.h"
@@ -48,25 +47,6 @@ TEST_F(RuntimeTest, MemcpyOps) {
   EXPECT_EQ(rt.device().memcpys_completed(), 2u);
 }
 
-TEST_F(RuntimeTest, MallocSynchronisesDevice) {
-  GpuRuntime rt(&sim_, spec_);
-  const auto stream = rt.CreateStream();
-  Op kernel;
-  kernel.type = OpType::kKernelLaunch;
-  kernel.kernel = MakeKernel("busy", 200.0, 0.5, 0.2, 10);
-  rt.Submit(kernel, stream, nullptr);
-
-  Op malloc_op;
-  malloc_op.type = OpType::kMalloc;
-  malloc_op.bytes = 1024 * 1024;
-  TimeUs malloc_done = -1.0;
-  rt.Submit(malloc_op, stream, [&]() { malloc_done = sim_.now(); });
-  sim_.RunUntilIdle();
-  // cudaMalloc waits for the device to drain (§5.1.3).
-  EXPECT_DOUBLE_EQ(malloc_done, 200.0);
-  EXPECT_EQ(rt.memory().used(), std::size_t{1024 * 1024});
-}
-
 TEST_F(RuntimeTest, EventQueryNonBlocking) {
   GpuRuntime rt(&sim_, spec_);
   const auto stream = rt.CreateStream();
@@ -79,28 +59,6 @@ TEST_F(RuntimeTest, EventQueryNonBlocking) {
   EXPECT_FALSE(event.done);  // cudaEventQuery: a non-blocking probe
   sim_.RunUntilIdle();
   EXPECT_TRUE(event.done);
-}
-
-TEST(MemoryManagerTest, AllocateFreeCycle) {
-  MemoryManager mem(1000);
-  EXPECT_TRUE(mem.Allocate(300, /*client=*/1));
-  EXPECT_TRUE(mem.Allocate(500, /*client=*/2));
-  EXPECT_TRUE(mem.Allocate(100, /*client=*/1));
-  EXPECT_EQ(mem.used(), 900u);
-  EXPECT_EQ(mem.available(), 100u);
-  // Memory is freed per client, at process exit: both of client 1's
-  // allocations go at once.
-  EXPECT_EQ(mem.ReleaseClient(1), 400u);
-  EXPECT_EQ(mem.used(), 500u);
-  EXPECT_EQ(mem.ReleaseClient(1), 0u);
-  EXPECT_TRUE(mem.Allocate(500, /*client=*/3));
-}
-
-TEST(MemoryManagerTest, RejectsOverCapacity) {
-  MemoryManager mem(1000);
-  EXPECT_TRUE(mem.Allocate(1000));
-  EXPECT_FALSE(mem.Allocate(1));
-  EXPECT_DOUBLE_EQ(mem.utilization(), 1.0);
 }
 
 }  // namespace

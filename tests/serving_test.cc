@@ -57,7 +57,7 @@ ServingConfig OverloadConfig() {
 TEST(BatchCostTest, BatchingIsSubLinear) {
   const BatchCostModel cost(gpusim::DeviceSpec::V100_16GB(),
                             MakeWorkload(ModelId::kResNet50, TaskType::kInference),
-                            /*high_priority=*/true, 6.0);
+                            /*high_priority=*/true);
   EXPECT_GT(cost.BatchServiceUs(2), cost.BatchServiceUs(1));
   EXPECT_GT(cost.BatchServiceUs(8), cost.BatchServiceUs(4));
   EXPECT_LT(cost.BatchServiceUs(8), 8.0 * cost.BatchServiceUs(1));
@@ -67,7 +67,7 @@ TEST(BatchCostTest, BatchingIsSubLinear) {
 TEST(BatchCostTest, ProvisioningCoversWeightTransfer) {
   const auto device = gpusim::DeviceSpec::V100_16GB();
   const BatchCostModel cost(device, MakeWorkload(ModelId::kBert, TaskType::kInference),
-                            true, 6.0);
+                            true);
   // BERT-large weights over PCIe dominate the fixed process-start cost.
   EXPECT_GT(cost.ProvisionUs(),
             static_cast<double>(cost.state_bytes()) / (device.pcie_gbps * 1e3));
@@ -224,14 +224,14 @@ TEST(AdmissionTest, ShedsPredictedDeadlineMiss) {
 }
 
 TEST(AdmissionTest, BestEffortShedsEarlier) {
-  AdmissionConfig config;
-  config.be_slack = 0.5;
-  const AdmissionController admission(config);
+  const AdmissionController admission{AdmissionConfig{}};
   Request request;
   request.deadline_us = 100e3;
-  // 60% of the deadline: fine for latency-critical, beyond be's 50% slack.
-  EXPECT_TRUE(admission.Admit(request, PriorityTier::kLatencyCritical, 50e3, 10e3));
-  EXPECT_FALSE(admission.Admit(request, PriorityTier::kBestEffort, 50e3, 10e3));
+  // 75% of the deadline: fine for latency-critical, beyond be's 70% slack.
+  EXPECT_TRUE(admission.Admit(request, PriorityTier::kLatencyCritical, 65e3, 10e3));
+  EXPECT_FALSE(admission.Admit(request, PriorityTier::kBestEffort, 65e3, 10e3));
+  // 65%: inside both.
+  EXPECT_TRUE(admission.Admit(request, PriorityTier::kBestEffort, 55e3, 10e3));
 }
 
 TEST(AdmissionTest, DisabledAdmitsEverything) {
@@ -252,7 +252,6 @@ ModelWindowSignals HealthySignals() {
   signals.slo_met = 100;
   signals.utilization = 0.5;
   signals.active_replicas = 2;
-  signals.min_replicas = 1;
   signals.max_replicas = 4;
   return signals;
 }

@@ -20,30 +20,35 @@ namespace {
 
 // --- ThrashDetector hysteresis (pure logic). -------------------------------
 
-memsub::ThrashDetector::Options DetectorOptions() {
-  memsub::ThrashDetector::Options options;
-  options.enter_busy = 0.20;
-  options.exit_busy = 0.05;
-  options.enter_windows = 2;
-  options.exit_windows = 5;
-  return options;
+using memsub::kThrashEnterBusy;
+using memsub::kThrashEnterWindows;
+using memsub::kThrashExitBusy;
+using memsub::kThrashExitWindows;
+
+TEST(ThrashDetectorTest, ThresholdsAreNvshareDefaults) {
+  EXPECT_DOUBLE_EQ(kThrashEnterBusy, 0.20);
+  EXPECT_DOUBLE_EQ(kThrashExitBusy, 0.05);
+  EXPECT_EQ(kThrashEnterWindows, 2);
+  EXPECT_EQ(kThrashExitWindows, 5);
 }
 
 TEST(ThrashDetectorTest, NeverEntersWithoutOversubscription) {
-  memsub::ThrashDetector detector(DetectorOptions());
+  memsub::ThrashDetector detector;
   for (int i = 0; i < 20; ++i) {
     EXPECT_FALSE(detector.Observe(1.0, /*oversubscribed=*/false));
   }
 }
 
 TEST(ThrashDetectorTest, EntersOnlyAfterConsecutiveHighWindows) {
-  memsub::ThrashDetector detector(DetectorOptions());
-  EXPECT_FALSE(detector.Observe(0.9, true));  // one burst is not thrash
-  EXPECT_TRUE(detector.Observe(0.9, true));   // sustained: enter
+  memsub::ThrashDetector detector;
+  for (int i = 1; i < kThrashEnterWindows; ++i) {
+    EXPECT_FALSE(detector.Observe(kThrashEnterBusy, true));  // one burst is not thrash
+  }
+  EXPECT_TRUE(detector.Observe(kThrashEnterBusy, true));  // sustained: enter
 }
 
 TEST(ThrashDetectorTest, BrokenHighStreakDoesNotEnter) {
-  memsub::ThrashDetector detector(DetectorOptions());
+  memsub::ThrashDetector detector;
   EXPECT_FALSE(detector.Observe(0.9, true));
   EXPECT_FALSE(detector.Observe(0.1, true));  // streak broken
   EXPECT_FALSE(detector.Observe(0.9, true));  // counting restarts
@@ -53,7 +58,7 @@ TEST(ThrashDetectorTest, BrokenHighStreakDoesNotEnter) {
 TEST(ThrashDetectorTest, HoldsWhileOversubscribedEvenWhenQuiet) {
   // Exclusive mode itself quells the fault traffic; reverting while memory
   // is still oversubscribed would just thrash again. One-way door.
-  memsub::ThrashDetector detector(DetectorOptions());
+  memsub::ThrashDetector detector;
   detector.Observe(0.9, true);
   ASSERT_TRUE(detector.Observe(0.9, true));
   for (int i = 0; i < 50; ++i) {
@@ -62,25 +67,26 @@ TEST(ThrashDetectorTest, HoldsWhileOversubscribedEvenWhenQuiet) {
 }
 
 TEST(ThrashDetectorTest, ExitsAfterSustainedQuietOnceFitting) {
-  memsub::ThrashDetector detector(DetectorOptions());
+  memsub::ThrashDetector detector;
   detector.Observe(0.9, true);
   ASSERT_TRUE(detector.Observe(0.9, true));
-  // A client released: memory fits again. Exit still needs 5 quiet windows.
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(detector.Observe(0.0, /*oversubscribed=*/false)) << "window " << i;
+  // A client released: memory fits again. Exit still needs
+  // kThrashExitWindows quiet windows.
+  for (int i = 1; i < kThrashExitWindows; ++i) {
+    EXPECT_TRUE(detector.Observe(kThrashExitBusy, /*oversubscribed=*/false)) << "window " << i;
   }
-  EXPECT_FALSE(detector.Observe(0.0, /*oversubscribed=*/false));
+  EXPECT_FALSE(detector.Observe(kThrashExitBusy, /*oversubscribed=*/false));
 }
 
 TEST(ThrashDetectorTest, HighWindowResetsExitStreak) {
-  memsub::ThrashDetector detector(DetectorOptions());
+  memsub::ThrashDetector detector;
   detector.Observe(0.9, true);
   ASSERT_TRUE(detector.Observe(0.9, true));
-  for (int i = 0; i < 4; ++i) {
+  for (int i = 1; i < kThrashExitWindows; ++i) {
     EXPECT_TRUE(detector.Observe(0.0, false));
   }
   EXPECT_TRUE(detector.Observe(0.9, false));  // residual burst: streak resets
-  for (int i = 0; i < 4; ++i) {
+  for (int i = 1; i < kThrashExitWindows; ++i) {
     EXPECT_TRUE(detector.Observe(0.0, false));
   }
   EXPECT_FALSE(detector.Observe(0.0, false));
@@ -89,11 +95,15 @@ TEST(ThrashDetectorTest, HighWindowResetsExitStreak) {
 // --- Quantum sizing. -------------------------------------------------------
 
 TEST(QuantumPolicyTest, ClampsToBounds) {
-  memsub::QuantumOptions options;  // 50ms..2s, factor 8
-  EXPECT_DOUBLE_EQ(memsub::QuantumFromSwapCost(0.0, options), MsToUs(50.0));
-  EXPECT_DOUBLE_EQ(memsub::QuantumFromSwapCost(MsToUs(1.0), options), MsToUs(50.0));
-  EXPECT_DOUBLE_EQ(memsub::QuantumFromSwapCost(MsToUs(20.0), options), MsToUs(160.0));
-  EXPECT_DOUBLE_EQ(memsub::QuantumFromSwapCost(SecToUs(10.0), options), SecToUs(2.0));
+  // 50ms..2s, factor 8.
+  EXPECT_DOUBLE_EQ(memsub::kMinQuantumUs, MsToUs(50.0));
+  EXPECT_DOUBLE_EQ(memsub::kMaxQuantumUs, SecToUs(2.0));
+  EXPECT_DOUBLE_EQ(memsub::kSwapCostFactor, 8.0);
+  EXPECT_DOUBLE_EQ(memsub::QuantumFromSwapCost(0.0), memsub::kMinQuantumUs);
+  EXPECT_DOUBLE_EQ(memsub::QuantumFromSwapCost(MsToUs(1.0)), memsub::kMinQuantumUs);
+  EXPECT_DOUBLE_EQ(memsub::QuantumFromSwapCost(MsToUs(20.0)),
+                   memsub::kSwapCostFactor * MsToUs(20.0));
+  EXPECT_DOUBLE_EQ(memsub::QuantumFromSwapCost(SecToUs(10.0)), memsub::kMaxQuantumUs);
 }
 
 // --- Integration: scheduler + pager through the harness. -------------------
@@ -160,23 +170,24 @@ TEST(TimeQuantumIntegrationTest, QuantaRotateAcrossClients) {
 }
 
 TEST(TimeQuantumIntegrationTest, IdleClientReleasesQuantumEarly) {
-  // One tenant arrives sparsely; without idle early-release its quanta
-  // strand the GPU between arrivals and the closed-loop tenant starves.
-  harness::ExperimentConfig config = TqConfig(2.0);
-  config.duration_us = SecToUs(3.0);
-  config.clients[0].arrivals = harness::ClientConfig::Arrivals::kPoisson;
-  config.clients[0].rps = 5.0;
-  const auto with_release = harness::RunExperiment(config);
-  harness::ExperimentConfig no_release = config;
-  no_release.time_quantum.idle_release_us = SecToUs(10.0);  // longer than any quantum
-  const auto without_release = harness::RunExperiment(no_release);
-  ASSERT_GE(with_release.tq_exclusive_entries, 1u);
-  ASSERT_GE(without_release.tq_exclusive_entries, 1u);
-  const auto& be_with = with_release.clients[1];
-  const auto& be_without = without_release.clients[1];
-  EXPECT_GT(be_with.completed_total, 0u);
-  // Early release hands the idle tenant's stranded time to the busy one.
-  EXPECT_GT(be_with.completed_total, be_without.completed_total);
+  // The same collocation twice: once with a saturating (closed-loop) hp
+  // tenant that uses every quantum it gets in full, once with a sparse one
+  // (5 rps) that idles through most of its quanta. Without idle early
+  // release the sparse tenant's quanta strand the GPU between arrivals, and
+  // the busy best-effort tenant completes fewer requests beside it than
+  // beside the saturating one; with release the stranded time goes back to
+  // the busy tenant.
+  harness::ExperimentConfig saturating = TqConfig(2.0);
+  saturating.duration_us = SecToUs(3.0);
+  harness::ExperimentConfig sparse = saturating;
+  sparse.clients[0].arrivals = harness::ClientConfig::Arrivals::kPoisson;
+  sparse.clients[0].rps = 5.0;
+  const auto beside_saturating = harness::RunExperiment(saturating);
+  const auto beside_sparse = harness::RunExperiment(sparse);
+  ASSERT_GE(beside_saturating.tq_exclusive_entries, 1u);
+  ASSERT_GE(beside_sparse.tq_exclusive_entries, 1u);
+  EXPECT_GT(beside_sparse.clients[1].completed_total,
+            beside_saturating.clients[1].completed_total);
 }
 
 }  // namespace
